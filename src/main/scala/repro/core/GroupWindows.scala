@@ -53,18 +53,19 @@ object GroupWindows {
     * Sweeps the sorted matches left-to-right, tracking the right frontier of
     * the covered region; a gap before the next overlap (or after the last)
     * yields an unmatched window (paper Alg. 1 cases 2–5), each match yields
-    * its overlapping window verbatim (case 1). Output is sorted by window
-    * start.
+    * its overlapping window verbatim (case 1), unless `withO` is false.
+    * Output is sorted by window start.
     */
   def uo(fr: String, lr: String, pr: Double, rts: Long, rte: Long,
-         matches: Seq[SMatch]): Vector[Win] = {
+         matches: Seq[SMatch], withO: Boolean = true): Vector[Win] = {
     val sorted = sortMatches(matches)
     val out = Vector.newBuilder[Win]
     var cover = rts
     for (m <- sorted) {
       if (m.os > cover)
         out += Win(fr, None, lr, pr, Nil, Nil, cover, m.os, "U")
-      out += Win(fr, Some(m.fs), lr, pr, Seq(m.ls), Seq(m.ps), m.os, m.oe, "O")
+      if (withO)
+        out += Win(fr, Some(m.fs), lr, pr, Seq(m.ls), Seq(m.ps), m.os, m.oe, "O")
       if (m.oe > cover) cover = m.oe
     }
     if (cover < rte)
@@ -113,6 +114,11 @@ object GroupWindows {
   def all(fr: String, lr: String, pr: Double, rts: Long, rte: Long,
           matches: Seq[SMatch]): Vector[Win] =
     uo(fr, lr, pr, rts, rte, matches) ++ negating(fr, lr, pr, matches)
+
+  /** The windows of one group that an anti join outputs: WU ∪ WN. */
+  def un(fr: String, lr: String, pr: Double, rts: Long, rte: Long,
+         matches: Seq[SMatch]): Vector[Win] =
+    uo(fr, lr, pr, rts, rte, matches, withO = false) ++ negating(fr, lr, pr, matches)
 
   /** Group one `r` tuple's winit rows into its match list.
     *

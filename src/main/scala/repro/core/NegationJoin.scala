@@ -32,25 +32,30 @@ final case class OutRow(
   * four TP meta columns `lin` (lineage string, for base relations the unique
   * tuple identifier), `p` (probability), `ts`, `te` (half-open interval).
   *
-  * Plan shape, mirroring paper Fig. 10a:
+  * Plan shape, mirroring paper Fig. 10a. One pass, with an outer and an
+  * inner relation, is:
   *
   *  1. `winit` — ONE conventional Catalyst left outer join
-  *     `r ⟕_{θ ∧ θo} s` with `θo : r.ts < s.te ∧ s.ts < r.te`
-  *     (the CLJ node; Catalyst picks the physical join, as PostgreSQL's
-  *     optimizer does in the paper).
-  *  2. `groupByKey` on the generating `r` tuple + `flatMapGroups` running
+  *     `outer ⟕_{θ ∧ θo} inner` with `θo : outer.ts < inner.te ∧
+  *     inner.ts < outer.te` (the CLJ node; Catalyst picks the physical join,
+  *     as PostgreSQL's optimizer does in the paper).
+  *  2. `groupByKey` on the generating outer tuple + `flatMapGroups` running
   *     the LAWA-U and LAWA-N sweeps of [[GroupWindows]] partition-locally —
-  *     the W_uo and W_n nodes. No tuple replication, no further interval
-  *     joins, no duplicate-eliminating union.
-  *  3. A lineage-based filter + per-window-set lineage concatenation turns
-  *     windows into output tuples (`λr`, `λr∧λs`, `λr∧¬λs`).
+  *     the W_uo and W_n nodes. The sweep builds only the window sets the op
+  *     outputs ([[Mode]]). No tuple replication, no further interval joins,
+  *     no duplicate-eliminating union.
+  *  3. Per-window-set lineage concatenation turns windows into output
+  *     tuples (`λr`, `λr∧λs`, `λr∧¬λs`).
+  *
+  * ▷ and ⟕ are one (r;s) pass. ⟖ is one sides-swapped (s;r) pass: a
+  * mirrored ⟕. ⟗ is the ⟕ pass plus a second, sides-swapped ▷ pass, as
+  * Alg. 3 re-invokes NegationJoins; it alone plans two joins.
   *
   * θ is supplied as `(rAlias, sAlias) => Column`, where the two arguments
   * are the SQL aliases under which the original left (`r`) and right (`s`)
   * relations' columns are reachable — e.g.
   * `(a, b) => col(s"$a.loc") === col(s"$b.loc")`. The operator itself decides
-  * which side is the outer of each pass (full/right outer joins run a second,
-  * sides-swapped pass, exactly as Alg. 3 re-invokes NegationJoins).
+  * which side is the outer of each pass.
   *
   * Output probabilities are exact under the model's base-tuple independence:
   * `P(λr∧λs)=pr·ps` and `P(λr∧¬∨λsᵢ)=pr·Π(1−psᵢ)` (cross-checked in tests
@@ -100,11 +105,21 @@ object NegationJoin {
     ).as[XRow]
   }
 
-  /** Which window kinds to emit from a sweep pass. */
-  object Mode { val UO = "UO"; val N = "N"; val All = "ALL" }
+  /** The window sets one sweep pass builds. */
+  sealed trait Mode
+  object Mode {
+    /** WU ∪ WO: LAWA-U alone. */
+    case object UO extends Mode
+    /** WN: LAWA-N alone. */
+    case object N extends Mode
+    /** WU ∪ WN: LAWA-U without its overlapping windows, then LAWA-N. */
+    case object UN extends Mode
+    /** WU ∪ WO ∪ WN. */
+    case object All extends Mode
+  }
 
   /** Step 2: group winit by generating outer tuple and sweep (LAWA-U/N). */
-  def windowsFrom(x: Dataset[XRow], mode: String): Dataset[Win] = {
+  def windowsFrom(x: Dataset[XRow], mode: Mode): Dataset[Win] = {
     val spark = x.sparkSession
     import spark.implicits._
     x.groupByKey(row => (row.fr, row.lr, row.rts, row.rte))
@@ -116,6 +131,7 @@ object NegationJoin {
         mode match {
           case Mode.UO  => GroupWindows.uo(fr, lr, pr, rts, rte, ms).iterator
           case Mode.N   => GroupWindows.negating(fr, lr, pr, ms).iterator
+          case Mode.UN  => GroupWindows.un(fr, lr, pr, rts, rte, ms).iterator
           case Mode.All => GroupWindows.all(fr, lr, pr, rts, rte, ms).iterator
         }
       }
@@ -134,14 +150,17 @@ object NegationJoin {
   /** Step 3: lineage concatenation per window set (paper §V, Alg. 3 l.10-17).
     *
     * `windowSideIsLeft` states whether the window pass used the user-facing
-    * left table as its outer relation; it decides on which side of the
-    * output the window's facts land and the ∧-operand order of λ.
+    * left table as its outer relation. It decides on which side of the
+    * output the window's facts land, and orders the ∧ operands of an O
+    * window by output side: `λr∧λs` from either pass. U and N windows keep
+    * the outer tuple's lineage first (`λs∧¬λr` in a swapped pass).
     */
   def windowToOut(w: Win, windowSideIsLeft: Boolean): OutRow = {
     val (lin, p) = w.kind match {
       case "U" => (w.lr, w.pr)
       case "O" =>
-        val l = Lineage.andL(Lineage.parse(w.lr), Lineage.parse(w.lsLins.head))
+        val (outer, inner) = (Lineage.parse(w.lr), Lineage.parse(w.lsLins.head))
+        val l = if (windowSideIsLeft) Lineage.andL(outer, inner) else Lineage.andL(inner, outer)
         (l.render, w.pr * w.lsProbs.head)
       case "N" =>
         val neg = Lineage.or(w.lsLins.map(Lineage.parse))
@@ -177,30 +196,27 @@ object NegationJoin {
 
   // ------------------------------------------------------------- joins
 
-  /** NegationJoins(r, s, θ, op) — paper Alg. 3. */
+  /** NegationJoins(r, s, θ, op) — paper Alg. 3.
+    *
+    * Every op is at most two passes of one kind: a CLJ, a sweep building
+    * only the window sets the op outputs, and finalization. WO(r;s) and
+    * WO(s;r) are the same pairwise intersections, so `r ⟖ s` is `s ⟕ r`
+    * with its output sides swapped.
+    */
   def apply(r: DataFrame, s: DataFrame, theta: (String, String) => Column,
             op: TPJoinOp): DataFrame = {
     val spark = r.sparkSession
     import spark.implicits._
-    def pass(swap: Boolean, keep: Win => Boolean): Dataset[OutRow] =
-      windowsFrom(winitRows(r, s, theta, swap), Mode.All)
-        .filter(keep)
+    def pass(swap: Boolean, mode: Mode): Dataset[OutRow] =
+      windowsFrom(winitRows(r, s, theta, swap), mode)
         .map(w => windowToOut(w, windowSideIsLeft = !swap))
-    op match {
-      case TPJoinOp.Anti =>
-        unpack(pass(swap = false, _.kind != "O"), r, s, anti = true)
-      case TPJoinOp.LeftOuter =>
-        unpack(pass(swap = false, _ => true), r, s, anti = false)
-      case TPJoinOp.RightOuter =>
-        // WO from the (r;s) pass, WU/WN from the swapped pass (Table III).
-        val o = pass(swap = false, _.kind == "O")
-        val un = pass(swap = true, _.kind != "O")
-        unpack(o.union(un), r, s, anti = false)
-      case TPJoinOp.FullOuter =>
-        // Alg. 3 line 18: the left-outer pass plus NegationJoins(s, r, θ, ▷).
-        val left = pass(swap = false, _ => true)
-        val un = pass(swap = true, _.kind != "O")
-        unpack(left.union(un), r, s, anti = false)
+    val out = op match {
+      case TPJoinOp.Anti       => pass(swap = false, Mode.UN)
+      case TPJoinOp.LeftOuter  => pass(swap = false, Mode.All)
+      case TPJoinOp.RightOuter => pass(swap = true, Mode.All)
+      // Alg. 3 line 18: r ⟕ s plus NegationJoins(s, r, θ, ▷).
+      case TPJoinOp.FullOuter  => pass(swap = false, Mode.All).union(pass(swap = true, Mode.UN))
     }
+    unpack(out, r, s, anti = op == TPJoinOp.Anti)
   }
 }

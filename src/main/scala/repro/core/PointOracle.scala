@@ -84,6 +84,28 @@ object PointOracle {
          |SELECT ${rFacts.mkString(", ")}, $sNull, lin, p, t FROM neg""".stripMargin
   }
 
+  /** DuckDB SQL recomputing `r ⟖Tp s` per time point: `s ⟕Tp r` from the
+    * sides-swapped prefix, with the output sides swapped back. O rows keep
+    * the `r` lineage first (`λr&λs`), as NJ renders them.
+    */
+  def rightOuterSql(rFacts: Seq[String], sOut: Seq[(String, String)], theta: ThetaSql): String = {
+    val rSel = rFacts.map(f => s"r.$f").mkString(", ")
+    val rNull = rFacts.map(f => s"NULL AS $f").mkString(", ")
+    def sSel(alias: String) = sOut.map { case (in, out) => s"$alias.$in AS $out" }.mkString(", ")
+    // In the swapped prefix, `rpts` holds the points of `s` and `ss` the tuples of `r`.
+    prefix(sOut.map(_._1), rFacts, (sp, rp) => theta(rp, sp), rTable = "s", sTable = "r") +
+      s"""
+         |, orows AS (
+         |    SELECT $rSel, ${sSel("sp")},
+         |           r.lin || '&' || sp.lin AS lin, r.p * sp.p AS p, sp.t
+         |    FROM rpts sp JOIN ss r
+         |      ON (${theta("r", "sp")}) AND r.ts <= sp.t AND sp.t < r.te
+         |)
+         |SELECT * FROM orows
+         |UNION ALL
+         |SELECT $rNull, ${sSel("n")}, n.lin, n.p, n.t FROM neg n""".stripMargin
+  }
+
   /** DuckDB SQL recomputing `r ⟗Tp s` per time point: the left-outer rows
     * plus the negated right side (the per-point anti join of `s` w.r.t.
     * `r`, with the `r` fact columns null).

@@ -78,8 +78,8 @@ object SnapshotRef {
     mergePoints(leftOuterPoints(r, s, theta).filter(_._2.rightFact.isEmpty))
 
   /** Snapshot semantics is symmetric: flip sides, flip θ, flip the output.
-    * ∧-operand order in O-row lineages then differs from NJ's convention
-    * (λs first); compare via [[Lineage.canonical]].
+    * O-row lineages then read `λs∧λr`, while NJ orders them by output side
+    * (`λr∧λs`); compare via [[Lineage.canonical]].
     */
   def rightOuter(r: Seq[TPTuple], s: Seq[TPTuple], theta: Theta): Seq[RefOut] =
     leftOuter(s, r, (a, b) => theta(b, a))

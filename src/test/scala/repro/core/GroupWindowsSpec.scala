@@ -148,6 +148,14 @@ class GroupWindowsSpec extends AnyFunSuite {
       GroupWindows.negating("R", "r1", 0.5, ms))
   }
 
+  test("un() = uo() without its overlapping windows, plus negating()") {
+    val ms = Seq(m("y1", 2, 5), m("y2", 4, 9))
+    val un = GroupWindows.un("R", "r1", 0.5, 0, 12, ms)
+    assert(un == GroupWindows.uo("R", "r1", 0.5, 0, 12, ms).filter(_.kind == "U") ++
+      GroupWindows.negating("R", "r1", 0.5, ms))
+    assert(un.count(_.kind == "U") == 2)
+  }
+
   test("toMatches drops null-padded rows") {
     val rows = Seq(
       XRow("R", "r1", 0.5, 0, 9, None, None, None, None, None),

@@ -63,6 +63,7 @@ class NJvsRefSpec extends SparkSpec {
     assert(got == exp)
     // anti join against empty s passes everything through
     assert(got.size == rTs.size)
+    assert(NegationJoin(r, s, theta, TPJoinOp.RightOuter).count() == 0)
   }
 
   test("NJ ≡ SnapshotRef with empty positive relation") {
@@ -70,8 +71,12 @@ class NJvsRefSpec extends SparkSpec {
     val r = kDf(spark, Seq.empty[KTup])
     val s = kDf(spark, sTs)
     assert(NegationJoin(r, s, theta, TPJoinOp.Anti).count() == 0)
+    assert(NegationJoin(r, s, theta, TPJoinOp.LeftOuter).count() == 0)
     assert(canonNj(NegationJoin(r, s, theta, TPJoinOp.FullOuter), anti = false) ==
       canonRef(SnapshotRef.fullOuter(Nil, kRef(sTs), refTheta), anti = false))
+    // right outer join against empty r returns every s tuple unchanged
+    assert(canonNj(NegationJoin(r, s, theta, TPJoinOp.RightOuter), anti = false) ==
+      sTs.map(t => ("∅", t.k, t.lin, math.rint(t.p * 1e9) / 1e9, t.ts, t.te)).toSet)
   }
 
   test("NJ output is duplicate-free and change-preserved on random input") {

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.execution.joins.BaseJoinExec
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestUtil}
 import repro.TestUtil._
@@ -114,6 +115,20 @@ class NegationJoinSpec extends SparkSpec {
     val rightOnly = rows(right.filter(col("name").isNull))
     assert(fullSet == leftSet ++ rightOnly)
     assert(fullSet.size == leftSet.size + rightOnly.size)
+  }
+
+  test("plan shape: ▷, ⟕ and ⟖ plan one join, ⟗ two") {
+    // Planned with adaptive execution off, so the plan holds every join up front.
+    def joins(op: TPJoinOp): Int = {
+      val aqe = "spark.sql.adaptive.enabled"
+      val was = spark.conf.get(aqe)
+      spark.conf.set(aqe, false)
+      try NegationJoin(a, b, theta, op).queryExecution.executedPlan
+        .collect { case j: BaseJoinExec => j }.size
+      finally spark.conf.set(aqe, was)
+    }
+    val ops = Seq(TPJoinOp.Anti, TPJoinOp.LeftOuter, TPJoinOp.RightOuter, TPJoinOp.FullOuter)
+    assert(ops.map(joins) == Seq(1, 1, 1, 2))
   }
 
   test("anti join of disjoint relations passes r through unchanged") {

@@ -72,6 +72,27 @@ class PointOracleSpec extends SparkSpec {
     }
   }
 
+  test("TP right outer join of the paper example matches DuckDB point expansion") {
+    val out = NegationJoin(aDf(spark), bDf(spark), theta, TPJoinOp.RightOuter)
+    Oracle.assertEquivalent(
+      PointOracle.expand(out),
+      PointOracle.rightOuterSql(
+        Seq("name", "loc"), Seq("hotel" -> "hotel", "loc" -> "s_loc"), thetaSql),
+      "r" -> aDf(spark), "s" -> bDf(spark))
+  }
+
+  (1 to 6).foreach { seed =>
+    test(s"TP right outer join on random relations matches DuckDB (seed $seed)") {
+      val r = kDf(spark, randomRelation(seed + 60, Seq("A", "B", "C"), 25, 3, "x"))
+      val s = kDf(spark, randomRelation(seed + 160, Seq("A", "B", "C"), 25, 3, "y"))
+      val out = NegationJoin(r, s, NegationJoin.thetaEq("k"), TPJoinOp.RightOuter)
+      Oracle.assertEquivalent(
+        PointOracle.expand(out),
+        PointOracle.rightOuterSql(Seq("k"), Seq("k" -> "s_k"), kThetaSql),
+        "r" -> r, "s" -> s)
+    }
+  }
+
   test("TP full outer join of the paper example matches DuckDB point expansion") {
     val out = NegationJoin(aDf(spark), bDf(spark), theta, TPJoinOp.FullOuter)
     Oracle.assertEquivalent(
