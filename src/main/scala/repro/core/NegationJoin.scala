@@ -154,18 +154,21 @@ object NegationJoin {
     * output the window's facts land, and orders the ∧ operands of an O
     * window by output side: `λr∧λs` from either pass. U and N windows keep
     * the outer tuple's lineage first (`λs∧¬λr` in a swapped pass).
+    *
+    * The lineage strings come from [[Lineage.renderAnd]] and
+    * [[Lineage.renderAndNotOr]]: joined directly for base-tuple ids, parsed
+    * and rendered only for derived lineage.
     */
   def windowToOut(w: Win, windowSideIsLeft: Boolean): OutRow = {
     val (lin, p) = w.kind match {
       case "U" => (w.lr, w.pr)
       case "O" =>
-        val (outer, inner) = (Lineage.parse(w.lr), Lineage.parse(w.lsLins.head))
-        val l = if (windowSideIsLeft) Lineage.andL(outer, inner) else Lineage.andL(inner, outer)
-        (l.render, w.pr * w.lsProbs.head)
+        val l =
+          if (windowSideIsLeft) Lineage.renderAnd(w.lr, w.lsLins.head)
+          else Lineage.renderAnd(w.lsLins.head, w.lr)
+        (l, w.pr * w.lsProbs.head)
       case "N" =>
-        val neg = Lineage.or(w.lsLins.map(Lineage.parse))
-        val l = Lineage.andNot(Lineage.parse(w.lr), neg)
-        (l.render, w.pr * w.lsProbs.map(1.0 - _).product)
+        (Lineage.renderAndNotOr(w.lr, w.lsLins), w.pr * w.lsProbs.map(1.0 - _).product)
     }
     if (windowSideIsLeft) OutRow(Some(w.fr), w.fs, lin, p, w.ts, w.te)
     else OutRow(w.fs, Some(w.fr), lin, p, w.ts, w.te)
@@ -176,7 +179,10 @@ object NegationJoin {
     * Left fact columns keep their names; right fact columns are prefixed
     * with `s_` when they would clash with a left fact column or a meta
     * column. Anti joins emit no right fact columns (paper: "Fr is the only
-    * fact included").
+    * fact included"). An output name that would still appear twice (`s`'s
+    * `k` renamed to `s_k` next to a fact column already named `s_k`), under
+    * the session's case sensitivity, is rejected here, before the query
+    * runs.
     */
   def unpack(out: Dataset[OutRow], r: DataFrame, s: DataFrame, anti: Boolean): DataFrame = {
     val rf = factCols(r)
@@ -184,6 +190,16 @@ object NegationJoin {
     val rSchema = r.select(rf.map(col): _*).schema
     val sSchema = s.select(sf.map(col): _*).schema
     def sName(c: String) = if (rf.contains(c) || MetaCols.contains(c)) s"s_$c" else c
+    val caseSensitive = out.sparkSession.conf.get("spark.sql.caseSensitive").toBoolean
+    def key(name: String) = if (caseSensitive) name else name.toLowerCase(java.util.Locale.ROOT)
+    val sources = rf.map(c => c -> s"r.$c") ++
+      (if (anti) Nil else sf.map(c => sName(c) -> s"s.$c")) ++
+      MetaCols.map(c => c -> s"meta column $c")
+    sources.groupBy(nc => key(nc._1)).values.find(_.size > 1).foreach { clash =>
+      throw new IllegalArgumentException(
+        s"output column '${clash.head._1}' would come from ${clash.map(_._2).mkString(" and ")}; " +
+          "rename a fact column of r or s")
+    }
     val withStructs = out.toDF()
       .withColumn("_rf", from_json(col("rfJson"), rSchema))
       .withColumn("_sf", from_json(col("sfJson"), sSchema))

@@ -35,17 +35,16 @@ final case class SegRow(fr: String, lr: String, pr: Double, ts: Long, te: Long)
   * This reproduces the redundancy the paper measures: per TP left outer
   * join, TA runs 4 interval joins + an aggregation + 2 distincts where NJ
   * runs 1 interval join + one partition-local sweep. Both implementations
-  * produce identical results (tested), so the runtime gap isolates the
-  * plan-shape difference.
+  * produce identical results (tested), and both compose output lineage
+  * with the same functions ([[Lineage.renderAnd]], [[Lineage.renderAndNotOr]]),
+  * so the runtime gap isolates the plan-shape difference.
   */
 object TemporalAlignment {
 
   import NegationJoin.{factCols, winitRows, windowsFrom, Mode}
 
-  private val linAnd = udf((a: String, b: String) =>
-    Lineage.andL(Lineage.parse(a), Lineage.parse(b)).render)
-  private val linAndNotOr = udf((a: String, bs: Seq[String]) =>
-    Lineage.andNot(Lineage.parse(a), Lineage.or(bs.map(Lineage.parse))).render)
+  private val linAnd = udf((a: String, b: String) => Lineage.renderAnd(a, b))
+  private val linAndNotOr = udf((a: String, bs: Seq[String]) => Lineage.renderAndNotOr(a, bs))
   private val probNeg = udf((pa: Double, ps: Seq[Double]) =>
     pa * ps.map(1.0 - _).product)
 

@@ -62,6 +62,12 @@ object TestUtil {
     }
   }
 
+  /** Facts made of the lineage grammar's operators, and id prefixes that
+    * use every non-alphanumeric atom character (ids like `r-1.a:b#2`).
+    */
+  val hostileFacts: Seq[String] = Seq("a&b", "c|!d", "(e)")
+  val hostileIdPrefixes: (String, String) = ("r-1.a:b#", "s_2.c:d#")
+
   def kDf(spark: SparkSession, ts: Seq[KTup]): DataFrame = {
     import spark.implicits._
     ts.toDF()

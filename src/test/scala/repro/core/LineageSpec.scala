@@ -172,4 +172,53 @@ class LineageSpec extends AnyFunSuite {
   test("or dedups identical operands") {
     assert(Lineage.or(Seq(p("a"), p("a"), p("b"))).render == "a|b")
   }
+
+  // ------------------------------------------ string composition functions
+
+  private def astAnd(a: String, b: String) = Lineage.andL(p(a), p(b)).render
+  private def astAndNotOr(a: String, bs: Seq[String]) =
+    Lineage.andNot(p(a), Lineage.or(bs.map(p))).render
+
+  test("renderAnd and renderAndNotOr equal the formula rendering on base-tuple ids") {
+    val rnd = new Random(11)
+    // letters, digits and every other atom character
+    val chars = "aZé09_.:#-"
+    def id() = Iterator.fill(1 + rnd.nextInt(4))(chars(rnd.nextInt(chars.length))).mkString
+    (1 to 500).foreach { i =>
+      // a small pool, so operands repeat: a == b, repeated disjuncts, a among bs
+      val pool = Vector.fill(1 + rnd.nextInt(4))(id())
+      def pick() = pool(rnd.nextInt(pool.size))
+      val (a, b) = (pick(), pick())
+      val bs = Vector.fill(1 + rnd.nextInt(5))(pick())
+      assert(pool.forall(Lineage.isAtom), s"case $i")
+      assert(Lineage.renderAnd(a, b) == astAnd(a, b), s"$a ∧ $b (case $i)")
+      assert(Lineage.renderAndNotOr(a, bs) == astAndNotOr(a, bs), s"$a ∧ ¬∨$bs (case $i)")
+    }
+    assert(Lineage.renderAnd("r-1.a:b#2", "r-1.a:b#2") == "r-1.a:b#2")
+    assert(Lineage.renderAnd("r-1.a:b#2", "s_3") == "r-1.a:b#2&s_3")
+    assert(Lineage.renderAndNotOr("a", Seq("b", "b")) == "a&!b")
+    assert(Lineage.renderAndNotOr("a", Seq("b", "a", "b", "c")) == "a&!(b|a|c)")
+  }
+
+  test("renderAnd and renderAndNotOr equal the formula rendering on derived lineage") {
+    val derived = Seq("a&b", "a|b", "!a", "(a)", " a ", "a&(b|c)")
+    val all = derived ++ Seq("a", "b", "c")
+    derived.foreach(d => assert(!Lineage.isAtom(d), d))
+    for (x <- all; y <- all) {
+      assert(Lineage.renderAnd(x, y) == astAnd(x, y), s"'$x' ∧ '$y'")
+      assert(Lineage.renderAndNotOr(x, Seq(y)) == astAndNotOr(x, Seq(y)), s"'$x' ∧ ¬'$y'")
+      assert(Lineage.renderAndNotOr(x, Seq(y, "c", y)) == astAndNotOr(x, Seq(y, "c", y)),
+        s"'$x' ∧ ¬('$y' ∨ c ∨ '$y')")
+    }
+  }
+
+  test("renderAnd and renderAndNotOr reject malformed lineage as parse does") {
+    Seq("", "a&", "a b", "a)").foreach { bad =>
+      assert(!Lineage.isAtom(bad))
+      assertThrows[IllegalArgumentException](Lineage.renderAnd(bad, "b"))
+      assertThrows[IllegalArgumentException](Lineage.renderAnd("a", bad))
+      assertThrows[IllegalArgumentException](Lineage.renderAndNotOr(bad, Seq("b")))
+      assertThrows[IllegalArgumentException](Lineage.renderAndNotOr("a", Seq("b", bad)))
+    }
+  }
 }

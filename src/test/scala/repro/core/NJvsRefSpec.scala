@@ -33,21 +33,29 @@ class NJvsRefSpec extends SparkSpec {
         math.rint(o.p * 1e9) / 1e9, o.ts, o.te)
     }.toSet
 
-  private def check(seed: Int): Unit = {
-    val rTs = randomRelation(seed, Seq("A", "B", "C"), 30, 3, "x")
-    val sTs = randomRelation(seed + 1000, Seq("A", "B", "C"), 30, 3, "y")
+  /** NJ ▷ ⟕ ⟖ ⟗ against SnapshotRef on one pair of relations. */
+  private def checkAll(rTs: Seq[KTup], sTs: Seq[KTup], label: String): Unit = {
     val r = kDf(spark, rTs)
     val s = kDf(spark, sTs)
     val (rr, ss) = (kRef(rTs), kRef(sTs))
 
     assert(canonNj(NegationJoin(r, s, theta, TPJoinOp.Anti), anti = true) ==
-      canonRef(SnapshotRef.anti(rr, ss, refTheta), anti = true), s"anti seed=$seed")
+      canonRef(SnapshotRef.anti(rr, ss, refTheta), anti = true), s"anti $label")
     assert(canonNj(NegationJoin(r, s, theta, TPJoinOp.LeftOuter), anti = false) ==
-      canonRef(SnapshotRef.leftOuter(rr, ss, refTheta), anti = false), s"left seed=$seed")
+      canonRef(SnapshotRef.leftOuter(rr, ss, refTheta), anti = false), s"left $label")
     assert(canonNj(NegationJoin(r, s, theta, TPJoinOp.RightOuter), anti = false) ==
-      canonRef(SnapshotRef.rightOuter(rr, ss, refTheta), anti = false), s"right seed=$seed")
+      canonRef(SnapshotRef.rightOuter(rr, ss, refTheta), anti = false), s"right $label")
     assert(canonNj(NegationJoin(r, s, theta, TPJoinOp.FullOuter), anti = false) ==
-      canonRef(SnapshotRef.fullOuter(rr, ss, refTheta), anti = false), s"full seed=$seed")
+      canonRef(SnapshotRef.fullOuter(rr, ss, refTheta), anti = false), s"full $label")
+  }
+
+  /** Plain facts and ids, then reserved-character facts and ids. */
+  private def check(seed: Int): Unit = {
+    checkAll(randomRelation(seed, Seq("A", "B", "C"), 30, 3, "x"),
+             randomRelation(seed + 1000, Seq("A", "B", "C"), 30, 3, "y"), s"seed=$seed")
+    val (rId, sId) = hostileIdPrefixes
+    checkAll(randomRelation(seed, hostileFacts, 30, 3, rId),
+             randomRelation(seed + 1000, hostileFacts, 30, 3, sId), s"reserved characters seed=$seed")
   }
 
   (1 to 12).foreach { seed =>
@@ -64,6 +72,9 @@ class NJvsRefSpec extends SparkSpec {
     // anti join against empty s passes everything through
     assert(got.size == rTs.size)
     assert(NegationJoin(r, s, theta, TPJoinOp.RightOuter).count() == 0)
+    // one r row against one overlapping s row: a U, an O and an N window
+    checkAll(Seq(KTup("a&b", "r-1.a:b#1", 0.5, 2, 8)),
+             Seq(KTup("a&b", "s_2.c:d#1", 0.4, 5, 12)), "one row each")
   }
 
   test("NJ ≡ SnapshotRef with empty positive relation") {
@@ -77,6 +88,9 @@ class NJvsRefSpec extends SparkSpec {
     // right outer join against empty r returns every s tuple unchanged
     assert(canonNj(NegationJoin(r, s, theta, TPJoinOp.RightOuter), anti = false) ==
       sTs.map(t => ("∅", t.k, t.lin, math.rint(t.p * 1e9) / 1e9, t.ts, t.te)).toSet)
+    // one r row inside one s row, and one r row against one s row of another fact
+    checkAll(Seq(KTup("A", "x1", 0.5, 3, 6)), Seq(KTup("A", "y1", 0.4, 0, 10)), "r inside s")
+    checkAll(Seq(KTup("A", "x1", 0.5, 3, 6)), Seq(KTup("B", "y1", 0.4, 0, 10)), "no match")
   }
 
   test("NJ output is duplicate-free and change-preserved on random input") {

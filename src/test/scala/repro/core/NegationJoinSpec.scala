@@ -209,5 +209,46 @@ class NegationJoinSpec extends SparkSpec {
     assert(out.head.getString(1) == "x1&!y2")
   }
 
+  test("derived input lineage is composed through the formula tree") {
+    import spark.implicits._
+    val r = Seq(KTup("A", "x1|x2", 0.5, 0, 10)).toDF()
+    val s = Seq(KTup("A", "y1&!y2", 0.4, 3, 6)).toDF()
+    val out = NegationJoin(r, s, NegationJoin.thetaEq("k"), TPJoinOp.LeftOuter)
+    val got = out.select("lin", "ts", "te").collect()
+      .map(x => (x.getString(0), x.getLong(1), x.getLong(2))).toSet
+    assert(got == Set(("x1|x2", 0L, 3L), ("(x1|x2)&y1&!y2", 3L, 6L),
+      ("(x1|x2)&!(y1&!y2)", 3L, 6L), ("x1|x2", 6L, 10L)))
+  }
+
+  test("a right fact renamed onto a left fact's name is rejected before the query runs") {
+    import spark.implicits._
+    val r = Seq(("A", "B", "x1", 0.5, 0L, 10L)).toDF("k", "s_k", "lin", "p", "ts", "te")
+    val s = Seq(KTup("A", "y1", 0.5, 0, 10)).toDF()
+    for (op <- Seq(TPJoinOp.LeftOuter, TPJoinOp.RightOuter, TPJoinOp.FullOuter)) {
+      val e = intercept[IllegalArgumentException](NegationJoin(r, s, NegationJoin.thetaEq("k"), op))
+      assert(e.getMessage.contains("'s_k'") && e.getMessage.contains("r.s_k and s.k"), e.getMessage)
+    }
+    intercept[IllegalArgumentException](
+      repro.ta.TemporalAlignment.leftOuter(r, s, NegationJoin.thetaEq("k")))
+    // ▷ outputs no right fact columns, so nothing collides
+    assert(NegationJoin(r, s, NegationJoin.thetaEq("k"), TPJoinOp.Anti).columns.toSeq ==
+      Seq("k", "s_k", "lin", "p", "ts", "te"))
+  }
+
+  test("two right facts landing on one output name are rejected before the query runs") {
+    import spark.implicits._
+    val r = Seq(KTup("A", "x1", 0.5, 0, 10)).toDF()
+    val s = Seq(("A", "B", "y1", 0.5, 0L, 10L)).toDF("k", "s_k", "lin", "p", "ts", "te")
+    val e = intercept[IllegalArgumentException](
+      NegationJoin(r, s, NegationJoin.thetaEq("k"), TPJoinOp.LeftOuter))
+    assert(e.getMessage.contains("'s_k'") && e.getMessage.contains("s.k and s.s_k"), e.getMessage)
+    // a name differing only in case is the same column to a case-insensitive session
+    val sUpper = Seq(("A", "B", "y1", 0.5, 0L, 10L)).toDF("k", "K2", "lin", "p", "ts", "te")
+    val rLower = Seq(("A", "b", "x1", 0.5, 0L, 10L)).toDF("k", "k2", "lin", "p", "ts", "te")
+    val e2 = intercept[IllegalArgumentException](
+      NegationJoin(rLower, sUpper, NegationJoin.thetaEq("k"), TPJoinOp.LeftOuter))
+    assert(e2.getMessage.contains("r.k2 and s.K2"), e2.getMessage)
+  }
+
   type Column = org.apache.spark.sql.Column
 }

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestUtil}
 import repro.TestUtil._
@@ -48,27 +49,38 @@ class PointOracleSpec extends SparkSpec {
 
   private val kThetaSql: PointOracle.ThetaSql = (r, s) => s"$r.k = $s.k"
 
+  /** The random inputs of one test: plain facts and ids, then facts made of
+    * lineage operators with ids using every atom character.
+    */
+  private def randomInputs(rSeed: Int, sSeed: Int): Seq[(DataFrame, DataFrame)] = {
+    val (rId, sId) = hostileIdPrefixes
+    Seq((Seq("A", "B", "C"), "x", "y"), (hostileFacts, rId, sId)).map { case (facts, rp, sp) =>
+      (kDf(spark, randomRelation(rSeed, facts, 25, 3, rp)),
+       kDf(spark, randomRelation(sSeed, facts, 25, 3, sp)))
+    }
+  }
+
   (1 to 8).foreach { seed =>
     test(s"TP anti join on random relations matches DuckDB (seed $seed)") {
-      val r = kDf(spark, randomRelation(seed, Seq("A", "B", "C"), 25, 3, "x"))
-      val s = kDf(spark, randomRelation(seed + 100, Seq("A", "B", "C"), 25, 3, "y"))
-      val out = NegationJoin(r, s, NegationJoin.thetaEq("k"), TPJoinOp.Anti)
-      Oracle.assertEquivalent(
-        PointOracle.expand(out),
-        PointOracle.antiSql(Seq("k"), Seq("k"), kThetaSql),
-        "r" -> r, "s" -> s)
+      randomInputs(seed, seed + 100).foreach { case (r, s) =>
+        val out = NegationJoin(r, s, NegationJoin.thetaEq("k"), TPJoinOp.Anti)
+        Oracle.assertEquivalent(
+          PointOracle.expand(out),
+          PointOracle.antiSql(Seq("k"), Seq("k"), kThetaSql),
+          "r" -> r, "s" -> s)
+      }
     }
   }
 
   (1 to 8).foreach { seed =>
     test(s"TP left outer join on random relations matches DuckDB (seed $seed)") {
-      val r = kDf(spark, randomRelation(seed + 30, Seq("A", "B", "C"), 25, 3, "x"))
-      val s = kDf(spark, randomRelation(seed + 130, Seq("A", "B", "C"), 25, 3, "y"))
-      val out = NegationJoin(r, s, NegationJoin.thetaEq("k"), TPJoinOp.LeftOuter)
-      Oracle.assertEquivalent(
-        PointOracle.expand(out),
-        PointOracle.leftOuterSql(Seq("k"), Seq("k" -> "s_k"), kThetaSql),
-        "r" -> r, "s" -> s)
+      randomInputs(seed + 30, seed + 130).foreach { case (r, s) =>
+        val out = NegationJoin(r, s, NegationJoin.thetaEq("k"), TPJoinOp.LeftOuter)
+        Oracle.assertEquivalent(
+          PointOracle.expand(out),
+          PointOracle.leftOuterSql(Seq("k"), Seq("k" -> "s_k"), kThetaSql),
+          "r" -> r, "s" -> s)
+      }
     }
   }
 
@@ -83,13 +95,13 @@ class PointOracleSpec extends SparkSpec {
 
   (1 to 6).foreach { seed =>
     test(s"TP right outer join on random relations matches DuckDB (seed $seed)") {
-      val r = kDf(spark, randomRelation(seed + 60, Seq("A", "B", "C"), 25, 3, "x"))
-      val s = kDf(spark, randomRelation(seed + 160, Seq("A", "B", "C"), 25, 3, "y"))
-      val out = NegationJoin(r, s, NegationJoin.thetaEq("k"), TPJoinOp.RightOuter)
-      Oracle.assertEquivalent(
-        PointOracle.expand(out),
-        PointOracle.rightOuterSql(Seq("k"), Seq("k" -> "s_k"), kThetaSql),
-        "r" -> r, "s" -> s)
+      randomInputs(seed + 60, seed + 160).foreach { case (r, s) =>
+        val out = NegationJoin(r, s, NegationJoin.thetaEq("k"), TPJoinOp.RightOuter)
+        Oracle.assertEquivalent(
+          PointOracle.expand(out),
+          PointOracle.rightOuterSql(Seq("k"), Seq("k" -> "s_k"), kThetaSql),
+          "r" -> r, "s" -> s)
+      }
     }
   }
 
@@ -104,13 +116,13 @@ class PointOracleSpec extends SparkSpec {
 
   (1 to 6).foreach { seed =>
     test(s"TP full outer join on random relations matches DuckDB (seed $seed)") {
-      val r = kDf(spark, randomRelation(seed + 60, Seq("A", "B", "C"), 25, 3, "x"))
-      val s = kDf(spark, randomRelation(seed + 160, Seq("A", "B", "C"), 25, 3, "y"))
-      val out = NegationJoin(r, s, NegationJoin.thetaEq("k"), TPJoinOp.FullOuter)
-      Oracle.assertEquivalent(
-        PointOracle.expand(out),
-        PointOracle.fullOuterSql(Seq("k"), Seq("k" -> "s_k"), kThetaSql),
-        "r" -> r, "s" -> s)
+      randomInputs(seed + 60, seed + 160).foreach { case (r, s) =>
+        val out = NegationJoin(r, s, NegationJoin.thetaEq("k"), TPJoinOp.FullOuter)
+        Oracle.assertEquivalent(
+          PointOracle.expand(out),
+          PointOracle.fullOuterSql(Seq("k"), Seq("k" -> "s_k"), kThetaSql),
+          "r" -> r, "s" -> s)
+      }
     }
   }
 
