@@ -28,84 +28,62 @@ final case class Win(
     lsLins: Seq[String], lsProbs: Seq[Double],
     ts: Long, te: Long, kind: String)
 
-/** LAWA-U and LAWA-N: per-group window computation (paper Alg. 1 & 2).
+/** LAWA-U and LAWA-N in one boundary sweep per group (paper Alg. 1 & 2).
   *
   * The group is a single `r` tuple together with all its winit match rows.
   * Inputs are duplicate-free TP relations, so tuples of `r` with equal facts
   * have disjoint intervals and groups never interact — which is what makes
   * the sweep embarrassingly parallel across `r` tuples (one `flatMapGroups`
-  * partition-local pass in Spark).
-  *
-  * Both sweeps follow the paper's incremental design: overlapping windows are
-  * taken verbatim from winit (computed once by the conventional join), and
-  * unmatched/negating windows are derived from them with a single pass and no
-  * further interval joins. LAWA-N's priority queue over ending points appears
-  * here as the ordered event sweep over `{Os} ∪ {Oe}`.
+  * partition-local pass in Spark). As in the paper, overlapping windows are
+  * taken verbatim from winit and the unmatched/negating windows are derived
+  * from them, with no further interval joins.
   */
 object GroupWindows {
 
-  /** Deterministic processing order of a group's matches (paper: sort on Os). */
-  def sortMatches(ms: Seq[SMatch]): Seq[SMatch] =
-    ms.sortBy(m => (m.os, m.oe, m.ls))
-
-  /** LAWA-U: the unmatched and overlapping windows of one `r` tuple.
+  /** The windows of one `r` tuple over `[rts, rte)`, of the kinds `mode`
+    * emits, ordered by start.
     *
-    * Sweeps the sorted matches left-to-right, tracking the right frontier of
-    * the covered region; a gap before the next overlap (or after the last)
-    * yields an unmatched window (paper Alg. 1 cases 2–5), each match yields
-    * its overlapping window verbatim (case 1), unless `withO` is false.
-    * Output is sorted by window start.
+    * The matches are sorted once on `(os, oe, ls)` (paper: input sorted on
+    * Os), their ends kept in a second order (LAWA-N's priority queue on Oe).
+    * At each boundary from `rts` to `rte` the sweep removes the matches that
+    * end there, then adds those that start there (half-open intervals),
+    * emitting an O window per added match. Up to the next boundary the valid
+    * set is constant (Table II): empty makes a U window, non-empty an N
+    * window with λs the disjunction of the active lineages in `(ls, index)`
+    * order. Every boundary changes the valid set, so U and N windows are
+    * maximal (TP change preservation).
     */
-  def uo(fr: String, lr: String, pr: Double, rts: Long, rte: Long,
-         matches: Seq[SMatch], withO: Boolean = true): Vector[Win] = {
-    val sorted = sortMatches(matches)
+  def windows(fr: String, lr: String, pr: Double, rts: Long, rte: Long,
+              matches: Seq[SMatch], mode: NegationJoin.Mode): Vector[Win] = {
+    // A match outside [rts, rte) would never be reached by the boundary walk.
+    matches.foreach(m => require(rts <= m.os && m.os < m.oe && m.oe <= rte,
+      s"match ${m.ls} over [${m.os}, ${m.oe}) is not a non-empty part of [$rts, $rte)"))
+    val byStart = matches.sortBy(m => (m.os, m.oe, m.ls)).toArray
+    val n = byStart.length
+    val byEnd = Array.range(0, n).sortBy(byStart(_).oe)
+    // The active set holds the matches' ranks in (ls, index) order.
+    val byLin = Array.range(0, n).sortBy(i => (byStart(i).ls, i))
+    val rank = new Array[Int](n)
+    byLin.indices.foreach(k => rank(byLin(k)) = k)
+    val active = new java.util.BitSet(n)
     val out = Vector.newBuilder[Win]
-    var cover = rts
-    for (m <- sorted) {
-      if (m.os > cover)
-        out += Win(fr, None, lr, pr, Nil, Nil, cover, m.os, "U")
-      if (withO)
-        out += Win(fr, Some(m.fs), lr, pr, Seq(m.ls), Seq(m.ps), m.os, m.oe, "O")
-      if (m.oe > cover) cover = m.oe
-    }
-    if (cover < rte)
-      out += Win(fr, None, lr, pr, Nil, Nil, cover, rte, "U")
-    out.result()
-  }
-
-  /** LAWA-N: the negating windows of one `r` tuple.
-    *
-    * Event sweep over all overlap boundaries: between two consecutive
-    * boundary points the set of valid matching `s` tuples is constant; every
-    * non-empty segment is a negating window whose λs is the disjunction of
-    * the active lineages (paper Alg. 2: the priority queue delivers the next
-    * ending point, the input order the next starting point). Windows are
-    * maximal by construction — any boundary is a change in the valid set, so
-    * adjacent windows have non-equivalent λs (TP change preservation).
-    */
-  def negating(fr: String, lr: String, pr: Double,
-               matches: Seq[SMatch]): Vector[Win] = {
-    if (matches.isEmpty) return Vector.empty
-    val indexed  = sortMatches(matches).zipWithIndex
-    val startsAt = indexed.groupBy(_._1.os)
-    val endsAt   = indexed.groupBy(_._1.oe)
-    val points   = (startsAt.keySet ++ endsAt.keySet).toVector.sorted
-    // Active valid matches, ordered by lineage string so λs disjuncts come
-    // out in deterministic (sorted) order; the index disambiguates matches
-    // that happen to carry equal lineage strings.
-    val active = scala.collection.mutable.TreeMap.empty[(String, Int), Double]
-    val out = Vector.newBuilder[Win]
-    for (i <- 0 until points.length - 1) {
-      val p = points(i)
-      // Half-open intervals: a tuple ending at p is no longer valid at p,
-      // so removals precede additions.
-      endsAt.getOrElse(p, Nil).foreach { case (m, ix) => active.remove((m.ls, ix)) }
-      startsAt.getOrElse(p, Nil).foreach { case (m, ix) => active((m.ls, ix)) = m.ps }
-      if (active.nonEmpty)
-        out += Win(fr, None, lr, pr,
-                   active.keysIterator.map(_._1).toVector,
-                   active.valuesIterator.toVector,
-                   p, points(i + 1), "N")
+    var p = rts
+    var i, j = 0
+    while (p < rte) {
+      while (j < n && byStart(byEnd(j)).oe == p) { active.clear(rank(byEnd(j))); j += 1 }
+      while (i < n && byStart(i).os == p) {
+        val m = byStart(i)
+        active.set(rank(i))
+        if (mode.o) out += Win(fr, Some(m.fs), lr, pr, Seq(m.ls), Seq(m.ps), m.os, m.oe, "O")
+        i += 1
+      }
+      val next = math.min(if (i < n) byStart(i).os else rte, if (j < n) byStart(byEnd(j)).oe else rte)
+      if (active.isEmpty) { if (mode.u) out += Win(fr, None, lr, pr, Nil, Nil, p, next, "U") }
+      else if (mode.n) {
+        val ms = active.stream.toArray.map(k => byStart(byLin(k)))
+        out += Win(fr, None, lr, pr, ms.map(_.ls).toVector, ms.map(_.ps).toVector, p, next, "N")
+      }
+      p = next
     }
     out.result()
   }
@@ -113,16 +91,9 @@ object GroupWindows {
   /** All windows of one group: WU ∪ WO ∪ WN (paper Alg. 3's per-group work). */
   def all(fr: String, lr: String, pr: Double, rts: Long, rte: Long,
           matches: Seq[SMatch]): Vector[Win] =
-    uo(fr, lr, pr, rts, rte, matches) ++ negating(fr, lr, pr, matches)
+    windows(fr, lr, pr, rts, rte, matches, NegationJoin.Mode.All)
 
-  /** The windows of one group that an anti join outputs: WU ∪ WN. */
-  def un(fr: String, lr: String, pr: Double, rts: Long, rte: Long,
-         matches: Seq[SMatch]): Vector[Win] =
-    uo(fr, lr, pr, rts, rte, matches, withO = false) ++ negating(fr, lr, pr, matches)
-
-  /** Group one `r` tuple's winit rows into its match list.
-    *
-    * Returns the `r`-tuple header plus the (possibly empty) matches; null-
+  /** One `r` tuple's winit rows as its (possibly empty) match list; null-
     * padded rows (no `s` partner) contribute no match.
     */
   def toMatches(rows: Seq[XRow]): Seq[SMatch] =

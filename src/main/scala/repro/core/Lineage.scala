@@ -22,7 +22,8 @@ package repro.core
   * [[Lineage.equiv]] via truth-table enumeration.
   *
   * The joins compose output lineage with [[Lineage.renderAnd]] and
-  * [[Lineage.renderAndNotOr]]. For base-tuple ids (every operand one atom)
+  * [[Lineage.renderAndNotOr]] and value it with [[Lineage.probAnd]] and
+  * [[Lineage.probAndNotOr]]. For base-tuple ids (every operand one atom)
   * these build the string directly; only derived, non-atomic lineage is
   * parsed into a formula, combined and rendered. Both paths give the same
   * bytes.
@@ -143,6 +144,32 @@ object Lineage {
       val ds = bs.distinct
       if (ds.size == 1) s"$a&!${ds.head}" else ds.mkString(s"$a&!(", "|", ")")
     } else andNot(parse(a), or(bs.map(parse))).render
+
+  /** `P(λa ∧ λb)` given `P(λa) = pa`, `P(λb) = pb`: exact for base-tuple ids
+    * (`a∧a` is `a`); derived operands as in [[probAndNotOr]].
+    */
+  def probAnd(a: String, pa: Double, b: String, pb: Double): Double =
+    if (isAtom(a) && isAtom(b)) { if (a == b) pa else pa * pb }
+    else { requireIndependent(Seq(a, b)); pa * pb }
+
+  /** `P(λa ∧ ¬(λb₁ ∨ … ∨ λbₖ))` from the operands' probabilities; a repeated
+    * disjunct counts once. Exact for base-tuple ids: 0 when `a` is among the
+    * `bs`, else `pa·Π(1−pbᵢ)`. Derived operands get the product, exact when
+    * no two share a base tuple; else an `IllegalArgumentException` names them.
+    */
+  def probAndNotOr(a: String, pa: Double, bs: Seq[String], pbs: Seq[Double]): Double = {
+    val ds = bs.zip(pbs).distinctBy(_._1)
+    val atoms = isAtom(a) && bs.forall(isAtom)
+    if (!atoms) requireIndependent(a +: ds.map(_._1))
+    if (atoms && ds.exists(_._1 == a)) 0.0 else pa * ds.map(1.0 - _._2).product
+  }
+
+  private def requireIndependent(operands: Seq[String]): Unit = {
+    val vars = operands.flatMap(parse(_).vars)
+    val shared = vars.diff(vars.distinct).distinct.sorted
+    require(shared.isEmpty, s"lineage operands ${operands.mkString("'", "', '", "'")} " +
+      s"share base tuples ${shared.mkString(", ")}: their probabilities are not independent")
+  }
 
   /** Whether `s` is one base-tuple id: a whole `atom` of the grammar. */
   def isAtom(s: String): Boolean = s.nonEmpty && s.forall(isAtomChar)

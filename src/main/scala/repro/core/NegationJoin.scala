@@ -40,10 +40,10 @@ final case class OutRow(
   *     inner.ts < outer.te` (the CLJ node; Catalyst picks the physical join,
   *     as PostgreSQL's optimizer does in the paper).
   *  2. `groupByKey` on the generating outer tuple + `flatMapGroups` running
-  *     the LAWA-U and LAWA-N sweeps of [[GroupWindows]] partition-locally —
-  *     the W_uo and W_n nodes. The sweep builds only the window sets the op
-  *     outputs ([[Mode]]). No tuple replication, no further interval joins,
-  *     no duplicate-eliminating union.
+  *     [[GroupWindows.windows]] partition-locally: one boundary sweep per
+  *     group yields the W_uo and W_n nodes' windows together. It emits only
+  *     the window kinds the op outputs ([[Mode]]). No tuple replication, no
+  *     further interval joins, no duplicate-eliminating union.
   *  3. Per-window-set lineage concatenation turns windows into output
   *     tuples (`λr`, `λr∧λs`, `λr∧¬λs`).
   *
@@ -58,8 +58,9 @@ final case class OutRow(
   * which side is the outer of each pass.
   *
   * Output probabilities are exact under the model's base-tuple independence:
-  * `P(λr∧λs)=pr·ps` and `P(λr∧¬∨λsᵢ)=pr·Π(1−psᵢ)` (cross-checked in tests
-  * against [[Lineage.prob]]'s exact valuation).
+  * `P(λr∧λs)=pr·ps` and `P(λr∧¬∨λsᵢ)=pr·Π(1−psᵢ)`, or `pa` and 0 for a base
+  * tuple `a` on both sides (cross-checked in tests against [[Lineage.prob]]).
+  * Derived input lineage whose operands share base tuples is rejected.
   */
 object NegationJoin {
 
@@ -105,17 +106,13 @@ object NegationJoin {
     ).as[XRow]
   }
 
-  /** The window sets one sweep pass builds. */
-  sealed trait Mode
+  /** The window sets one sweep pass builds, as the kinds it emits. */
+  sealed abstract class Mode(val u: Boolean, val o: Boolean, val n: Boolean)
   object Mode {
-    /** WU ∪ WO: LAWA-U alone. */
-    case object UO extends Mode
-    /** WN: LAWA-N alone. */
-    case object N extends Mode
-    /** WU ∪ WN: LAWA-U without its overlapping windows, then LAWA-N. */
-    case object UN extends Mode
-    /** WU ∪ WO ∪ WN. */
-    case object All extends Mode
+    case object UO extends Mode(u = true, o = true, n = false)
+    case object N extends Mode(u = false, o = false, n = true)
+    case object UN extends Mode(u = true, o = false, n = true)
+    case object All extends Mode(u = true, o = true, n = true)
   }
 
   /** Step 2: group winit by generating outer tuple and sweep (LAWA-U/N). */
@@ -126,24 +123,9 @@ object NegationJoin {
       .flatMapGroups { (key, it) =>
         val (fr, lr, rts, rte) = key
         val rows = it.toVector
-        val pr = rows.head.pr
-        val ms = GroupWindows.toMatches(rows)
-        mode match {
-          case Mode.UO  => GroupWindows.uo(fr, lr, pr, rts, rte, ms).iterator
-          case Mode.N   => GroupWindows.negating(fr, lr, pr, ms).iterator
-          case Mode.UN  => GroupWindows.un(fr, lr, pr, rts, rte, ms).iterator
-          case Mode.All => GroupWindows.all(fr, lr, pr, rts, rte, ms).iterator
-        }
+        GroupWindows.windows(fr, lr, rows.head.pr, rts, rte, GroupWindows.toMatches(rows), mode).iterator
       }
   }
-
-  /** Unmatched + overlapping windows of `r` w.r.t. `s` (bench node W_uo). */
-  def windowsUO(r: DataFrame, s: DataFrame, theta: (String, String) => Column): Dataset[Win] =
-    windowsFrom(winitRows(r, s, theta), Mode.UO)
-
-  /** All three window sets of `r` w.r.t. `s` (bench node W_n incl. W_uo). */
-  def windowsAll(r: DataFrame, s: DataFrame, theta: (String, String) => Column): Dataset[Win] =
-    windowsFrom(winitRows(r, s, theta), Mode.All)
 
   // ------------------------------------------------------------- finalize
 
@@ -157,7 +139,8 @@ object NegationJoin {
     *
     * The lineage strings come from [[Lineage.renderAnd]] and
     * [[Lineage.renderAndNotOr]]: joined directly for base-tuple ids, parsed
-    * and rendered only for derived lineage.
+    * and rendered only for derived lineage. Their probabilities come from
+    * [[Lineage.probAnd]] and [[Lineage.probAndNotOr]].
     */
   def windowToOut(w: Win, windowSideIsLeft: Boolean): OutRow = {
     val (lin, p) = w.kind match {
@@ -166,9 +149,9 @@ object NegationJoin {
         val l =
           if (windowSideIsLeft) Lineage.renderAnd(w.lr, w.lsLins.head)
           else Lineage.renderAnd(w.lsLins.head, w.lr)
-        (l, w.pr * w.lsProbs.head)
+        (l, Lineage.probAnd(w.lr, w.pr, w.lsLins.head, w.lsProbs.head))
       case "N" =>
-        (Lineage.renderAndNotOr(w.lr, w.lsLins), w.pr * w.lsProbs.map(1.0 - _).product)
+        (Lineage.renderAndNotOr(w.lr, w.lsLins), Lineage.probAndNotOr(w.lr, w.pr, w.lsLins, w.lsProbs))
     }
     if (windowSideIsLeft) OutRow(Some(w.fr), w.fs, lin, p, w.ts, w.te)
     else OutRow(w.fs, Some(w.fr), lin, p, w.ts, w.te)

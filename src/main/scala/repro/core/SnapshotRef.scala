@@ -20,8 +20,9 @@ final case class RefOut(
   * deliberately naive second implementation: it shares no window code with
   * [[NegationJoin]], so agreement between the two is meaningful evidence.
   *
-  * Inputs must be base relations (atomic lineage = tuple identifier), which
-  * keeps the probability computation exact under tuple independence.
+  * Inputs must be base relations (atomic lineage = tuple identifier), and
+  * may share tuples (a self-join): each output lineage is valued by
+  * [[Lineage.prob]] over the base-tuple probabilities, so `a∧¬a` gets 0.
   */
 object SnapshotRef {
 
@@ -33,6 +34,10 @@ object SnapshotRef {
   /** Per-time-point result rows of `r ⟕Tp s` (before interval merging). */
   def leftOuterPoints(r: Seq[TPTuple], s: Seq[TPTuple], theta: Theta): Seq[(Long, RefOut)] = {
     val allPoints = (pointsOf(r) ++ pointsOf(s)).distinct.sorted
+    val base = (r ++ s).map(t => t.lin -> t.p).toMap
+      .withDefault(id => throw new IllegalArgumentException(s"no base tuple '$id'"))
+    def out(rt: TPTuple, st: Option[TPTuple], lin: Lineage, t: Long) =
+      RefOut(Some(rt.fact), st.map(_.fact), lin.render, lin.prob(base), t, t + 1)
     for {
       t <- allPoints
       rt <- r if rt.ts <= t && t < rt.te
@@ -40,15 +45,13 @@ object SnapshotRef {
         val matches = s.filter(st => st.ts <= t && t < st.te && theta(rt.fact, st.fact))
           .sortBy(_.lin)
         val oRows = matches.map { st =>
-          val lin = Lineage.andL(Lineage.parse(rt.lin), Lineage.parse(st.lin)).render
-          RefOut(Some(rt.fact), Some(st.fact), lin, rt.p * st.p, t, t + 1)
+          out(rt, Some(st), Lineage.andL(Lineage.parse(rt.lin), Lineage.parse(st.lin)), t)
         }
         val negRow =
-          if (matches.isEmpty) RefOut(Some(rt.fact), None, rt.lin, rt.p, t, t + 1)
+          if (matches.isEmpty) out(rt, None, Lineage.parse(rt.lin), t)
           else {
             val neg = Lineage.or(matches.map(m => Lineage.parse(m.lin)))
-            val lin = Lineage.andNot(Lineage.parse(rt.lin), neg).render
-            RefOut(Some(rt.fact), None, lin, rt.p * matches.map(1.0 - _.p).product, t, t + 1)
+            out(rt, None, Lineage.andNot(Lineage.parse(rt.lin), neg), t)
           }
         oRows :+ negRow
       }

@@ -4,6 +4,7 @@ import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
 import repro.core._
+import repro.core.NegationJoin.{Mode, windowsFrom, winitRows}
 import repro.data.TPData
 import repro.ta.TemporalAlignment
 import repro.util.Bench
@@ -71,7 +72,7 @@ object Experiments {
       val w = workload(spark, ds, n)
       var njCount = 0L; var taCount = 0L
       val njMs = Bench.medianMs(reps, warmup) {
-        njCount = NegationJoin.windowsUO(w.r, w.s, w.theta).count()
+        njCount = windowsFrom(winitRows(w.r, w.s, w.theta), Mode.UO).count()
       }
       val taMs = Bench.medianMs(reps, warmup) {
         taCount = TemporalAlignment.windowsUO(w.r, w.s, w.theta).count()
@@ -95,17 +96,16 @@ object Experiments {
     for ((ds, ns) <- sizes.toSeq.sortBy(_._1); n <- ns) yield {
       val w = workload(spark, ds, n)
       var njN = 0L; var njAll = 0L; var taNU = 0L; var njUO = 0L
-      val winit = NegationJoin.winitRows(w.r, w.s, w.theta)
+      val winit = winitRows(w.r, w.s, w.theta)
         .persist(StorageLevel.MEMORY_AND_DISK)
       winit.count()
       val wnMs = Bench.medianMs(reps, warmup) {
-        njN = NegationJoin.windowsFrom(winit, NegationJoin.Mode.N).count()
+        njN = windowsFrom(winit, Mode.N).count()
       }
-      njUO = NegationJoin.windowsFrom(winit, NegationJoin.Mode.UO)
-        .filter(_.kind == "U").count()
+      njUO = windowsFrom(winit, Mode.UO).filter(_.kind == "U").count()
       winit.unpersist(blocking = true)
       val wuonMs = Bench.medianMs(reps, warmup) {
-        njAll = NegationJoin.windowsAll(w.r, w.s, w.theta).count()
+        njAll = windowsFrom(winitRows(w.r, w.s, w.theta), Mode.All).count()
       }
       val taMs = Bench.medianMs(reps, warmup) {
         taNU = TemporalAlignment.windowsNU(w.r, w.s, w.theta).count()
@@ -145,10 +145,10 @@ object Experiments {
     for ((ds, ns) <- sizes.toSeq.sortBy(_._1); n <- ns) yield {
       val w = workload(spark, ds, n)
       val cljMs = Bench.medianMs(reps, warmup) {
-        NegationJoin.winitRows(w.r, w.s, w.theta).count()
+        winitRows(w.r, w.s, w.theta).count()
       }
       val wuoMs = Bench.medianMs(reps, warmup) {
-        NegationJoin.windowsUO(w.r, w.s, w.theta).count()
+        windowsFrom(winitRows(w.r, w.s, w.theta), Mode.UO).count()
       }
       val njMs = Bench.medianMs(reps, warmup) {
         NegationJoin(w.r, w.s, w.theta, TPJoinOp.LeftOuter).count()

@@ -18,8 +18,9 @@ final case class SegRow(fr: String, lr: String, pr: Double, ts: Long, te: Long)
   *  - [[align]] `Φ(k, m)` — for every matching overlapping pair, a copy of
   *    the `k` tuple restricted to the pairwise intersection, plus copies for
   *    the maximal subintervals of `k.T` not covered by any matching `m`
-  *    tuple. The contributing `m` tuples are NOT recorded (the paper's
-  *    stated limitation), so recombining facts/lineages needs further joins.
+  *    tuple, found by align's own scan (as in Dignös et al.'s operator).
+  *    The contributing `m` tuples are NOT recorded (the paper's stated
+  *    limitation), so recombining facts/lineages needs further joins.
   *  - [[normalize]] `N(k, m)` — `k` tuples split at every boundary of a
   *    matching `m` tuple (group-based adjustment).
   *
@@ -35,18 +36,21 @@ final case class SegRow(fr: String, lr: String, pr: Double, ts: Long, te: Long)
   * This reproduces the redundancy the paper measures: per TP left outer
   * join, TA runs 4 interval joins + an aggregation + 2 distincts where NJ
   * runs 1 interval join + one partition-local sweep. Both implementations
-  * produce identical results (tested), and both compose output lineage
-  * with the same functions ([[Lineage.renderAnd]], [[Lineage.renderAndNotOr]]),
+  * produce identical results (tested), and both compose and value output
+  * lineage with the same functions ([[Lineage.renderAnd]],
+  * [[Lineage.renderAndNotOr]], [[Lineage.probAnd]], [[Lineage.probAndNotOr]]),
   * so the runtime gap isolates the plan-shape difference.
   */
 object TemporalAlignment {
 
-  import NegationJoin.{factCols, winitRows, windowsFrom, Mode}
+  import NegationJoin.{factCols, winitRows}
 
   private val linAnd = udf((a: String, b: String) => Lineage.renderAnd(a, b))
   private val linAndNotOr = udf((a: String, bs: Seq[String]) => Lineage.renderAndNotOr(a, bs))
-  private val probNeg = udf((pa: Double, ps: Seq[Double]) =>
-    pa * ps.map(1.0 - _).product)
+  private val probAnd = udf((a: String, pa: Double, b: String, pb: Double) =>
+    Lineage.probAnd(a, pa, b, pb))
+  private val probAndNotOr = udf((a: String, pa: Double, bs: Seq[String], pbs: Seq[Double]) =>
+    Lineage.probAndNotOr(a, pa, bs, pbs))
 
   private def overlapCond: Column =
     col("_l.ts") < col("_r.te") && col("_r.ts") < col("_l.te")
@@ -57,7 +61,6 @@ object TemporalAlignment {
     */
   def align(k: DataFrame, m: DataFrame, theta: (String, String) => Column): DataFrame = {
     val kf = factCols(k)
-    val kSchema = k.select(kf.map(col): _*).schema
     // replica per matching pair: the pairwise intersection. `ots`/`ote` keep
     // the replica's original interval (as the kernel implementation does) so
     // the downstream equal-interval join can verify the joined interval IS
@@ -69,23 +72,32 @@ object TemporalAlignment {
           greatest(col("_l.ts"), col("_r.ts")).as("ts"),
           least(col("_l.te"), col("_r.te")).as("te"),
           col("_l.ts").as("ots"), col("_l.te").as("ote")): _*)
-    // replica per maximal uncovered gap
-    val gaps = windowsFrom(winitRows(k, m, theta), Mode.UO)
-      .filter(_.kind == "U")
-      .toDF()
-      .select(from_json(col("fr"), kSchema).as("_f"),
-              col("lr").as("lin"), col("pr").as("p"), col("ts"), col("te"))
-      .select(kf.map(c => col(s"_f.$c").as(c)) ++
-        Seq(col("lin"), col("p"), col("ts"), col("te"),
-            col("ts").as("ots"), col("te").as("ote")): _*)
-    inter.unionByName(gaps)
+    // replica per maximal uncovered gap: a frontier scan over the matches in
+    // start order; a gap ends at the next start (or at k.te) beyond the frontier
+    val gaps = perTuple(k, m, theta) { (t, ms) =>
+      val sorted = ms.sortBy(_.os)
+      val frontiers = sorted.scanLeft(t.ts)((cover, mt) => math.max(cover, mt.oe))
+      (sorted.map(_.os) :+ t.te).zip(frontiers)
+        .collect { case (end, cover) if cover < end => t.copy(ts = cover, te = end) }
+    }
+    inter.unionByName(toKSchema(gaps, k).withColumn("ots", col("ts")).withColumn("ote", col("te")))
   }
 
   /** N(k, m): split each `k` tuple at every boundary of a matching `m`
     * tuple (clipped to `k.T`). θ in (k-alias, m-alias) order. Output:
     * `k`'s facts packed as JSON + lineage/probability + split interval.
     */
-  def normalize(k: DataFrame, m: DataFrame, theta: (String, String) => Column): Dataset[SegRow] = {
+  def normalize(k: DataFrame, m: DataFrame, theta: (String, String) => Column): Dataset[SegRow] =
+    perTuple(k, m, theta) { (t, ms) =>
+      val bounds = (ms.flatMap(mt => Seq(mt.os, mt.oe)) ++ Seq(t.ts, t.te)).distinct.sorted
+      bounds.sliding(2).collect { case Seq(a, b) if a < b => t.copy(ts = a, te = b) }.toSeq
+    }
+
+  /** `split` maps each `k` tuple, as a [[SegRow]] over its whole interval,
+    * and its matches in `m` clipped to it, to the tuple's replicas.
+    */
+  private def perTuple(k: DataFrame, m: DataFrame, theta: (String, String) => Column)(
+      split: (SegRow, Seq[SMatch]) => Seq[SegRow]): Dataset[SegRow] = {
     val spark = k.sparkSession
     import spark.implicits._
     winitRows(k, m, theta)
@@ -93,11 +105,16 @@ object TemporalAlignment {
       .flatMapGroups { (key, it) =>
         val (fr, lr, rts, rte) = key
         val rows = it.toVector
-        val pr = rows.head.pr
-        val bounds = (GroupWindows.toMatches(rows).flatMap(mt => Seq(mt.os, mt.oe))
-          ++ Seq(rts, rte)).distinct.sorted
-        bounds.sliding(2).collect { case Seq(a, b) if a < b => SegRow(fr, lr, pr, a, b) }
+        split(SegRow(fr, lr, rows.head.pr, rts, rte), GroupWindows.toMatches(rows))
       }
+  }
+
+  /** Replicas of `k` tuples in `k`'s schema: facts, `lin`, `p`, `ts`, `te`. */
+  private def toKSchema(segs: Dataset[SegRow], k: DataFrame): DataFrame = {
+    val kf = factCols(k)
+    segs.select(from_json(col("fr"), k.select(kf.map(col): _*).schema).as("_f"),
+                col("lr").as("lin"), col("pr").as("p"), col("ts"), col("te"))
+      .select(kf.map(c => col(s"_f.$c").as(c)) ++ Seq(col("lin"), col("p"), col("ts"), col("te")): _*)
   }
 
   /** Fig. 10b subtree: `Φ(k,m) ⟕_{θ ∧ T=T} Φ(m,k)` + distinct → WO ∪ WU
@@ -122,7 +139,8 @@ object TemporalAlignment {
         to_json(struct(kf.map(c => col(s"_l.$c").as(c)): _*)).as("rfJson"),
         when(matched, to_json(struct(mf.map(c => col(s"_r.$c").as(c)): _*))).as("sfJson"),
         when(matched, linAnd(col("_l.lin"), col("_r.lin"))).otherwise(col("_l.lin")).as("lin"),
-        when(matched, col("_l.p") * col("_r.p")).otherwise(col("_l.p")).as("p"),
+        when(matched, probAnd(col("_l.lin"), col("_l.p"), col("_r.lin"), col("_r.p")))
+          .otherwise(col("_l.p")).as("p"),
         col("_l.ts").as("ts"), col("_l.te").as("te"))
       .distinct()
   }
@@ -133,13 +151,8 @@ object TemporalAlignment {
     */
   def windowsNU(k: DataFrame, m: DataFrame, theta: (String, String) => Column): DataFrame = {
     val kf = factCols(k)
-    val kSchema = k.select(kf.map(col): _*).schema
     // unpack segments back to k's schema so θ can be applied again
-    val segs = normalize(k, m, theta).toDF()
-      .select(from_json(col("fr"), kSchema).as("_f"),
-              col("lr").as("lin"), col("pr").as("p"), col("ts"), col("te"))
-      .select(kf.map(c => col(s"_f.$c").as(c)) ++
-        Seq(col("lin"), col("p"), col("ts"), col("te")): _*)
+    val segs = toKSchema(normalize(k, m, theta), k)
     // segments never cross a matching boundary, so overlap ⇒ containment
     val j = segs.as("_l").join(m.as("_r"), theta("_l", "_r") && overlapCond, "left_outer")
     val grouped = j
@@ -154,7 +167,8 @@ object TemporalAlignment {
       when(size(col("ms")) === 0, col("_l.lin"))
         .otherwise(linAndNotOr(col("_l.lin"), expr("transform(ms, x -> x.lin)"))).as("lin"),
       when(size(col("ms")) === 0, col("_l.p"))
-        .otherwise(probNeg(col("_l.p"), expr("transform(ms, x -> x.p)"))).as("p"),
+        .otherwise(probAndNotOr(col("_l.lin"), col("_l.p"),
+          expr("transform(ms, x -> x.lin)"), expr("transform(ms, x -> x.p)"))).as("p"),
       col("_l.ts").as("ts"), col("_l.te").as("te"))
   }
 
@@ -191,8 +205,6 @@ object TemporalAlignment {
   private def unpackOut(outRows: DataFrame, r: DataFrame, s: DataFrame, anti: Boolean): DataFrame = {
     val spark = r.sparkSession
     import spark.implicits._
-    NegationJoin.unpack(
-      outRows.as[OutRow],
-      r, s, anti)
+    NegationJoin.unpack(outRows.as[OutRow], r, s, anti)
   }
 }

@@ -3,18 +3,26 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
-/** Unit tests for the pure per-group window kernel (LAWA-U / LAWA-N),
-  * including a brute-force cross-check against the Table II definitions.
+/** Unit tests for the pure per-group window kernel (LAWA-U / LAWA-N in
+  * one sweep), including a brute-force cross-check against the Table II
+  * definitions.
   */
 class GroupWindowsSpec extends AnyFunSuite {
 
   private def m(ls: String, os: Long, oe: Long, fs: String = "F", ps: Double = 0.5) =
     SMatch(fs, ls, ps, os, oe)
 
+  private val modes = {
+    import NegationJoin.Mode._
+    Seq(UO, N, UN, All)
+  }
+
   private def uo(ts: Long, te: Long, ms: SMatch*) =
-    GroupWindows.uo("R", "r1", 0.5, ts, te, ms)
-  private def neg(ms: SMatch*) =
-    GroupWindows.negating("R", "r1", 0.5, ms)
+    GroupWindows.windows("R", "r1", 0.5, ts, te, ms, NegationJoin.Mode.UO)
+  private def neg(ms: SMatch*) = {
+    val (ts, te) = if (ms.isEmpty) (0L, 1L) else (ms.map(_.os).min, ms.map(_.oe).max)
+    GroupWindows.windows("R", "r1", 0.5, ts, te, ms, NegationJoin.Mode.N)
+  }
 
   private def uiv(ws: Seq[Win]) = ws.filter(_.kind == "U").map(w => (w.ts, w.te))
   private def oiv(ws: Seq[Win]) = ws.filter(_.kind == "O").map(w => (w.lsLins.head, w.ts, w.te))
@@ -141,19 +149,19 @@ class GroupWindowsSpec extends AnyFunSuite {
     assert(niv(ws) == Vector(("y", 0L, 2L), ("y|y", 2L, 4L), ("y", 4L, 6L)))
   }
 
-  test("all() = uo() plus negating()") {
+  test("un yields the two gaps around the matches as U windows") {
     val ms = Seq(m("y1", 2, 5), m("y2", 4, 9))
-    val all = GroupWindows.all("R", "r1", 0.5, 0, 12, ms)
-    assert(all == GroupWindows.uo("R", "r1", 0.5, 0, 12, ms) ++
-      GroupWindows.negating("R", "r1", 0.5, ms))
+    val un = GroupWindows.windows("R", "r1", 0.5, 0, 12, ms, NegationJoin.Mode.UN)
+    assert(uiv(un) == Vector((0L, 2L), (9L, 12L)))
+    assert(un.count(_.kind == "U") == 2 && un.forall(_.kind != "O"))
   }
 
-  test("un() = uo() without its overlapping windows, plus negating()") {
-    val ms = Seq(m("y1", 2, 5), m("y2", 4, 9))
-    val un = GroupWindows.un("R", "r1", 0.5, 0, 12, ms)
-    assert(un == GroupWindows.uo("R", "r1", 0.5, 0, 12, ms).filter(_.kind == "U") ++
-      GroupWindows.negating("R", "r1", 0.5, ms))
-    assert(un.count(_.kind == "U") == 2)
+  test("a match outside the r tuple's interval is rejected, not swept") {
+    for ((os, oe) <- Seq((1L, 4L), (3L, 11L), (4L, 4L)); mode <- modes) {
+      val e = intercept[IllegalArgumentException](
+        GroupWindows.windows("R", "r1", 0.5, 2, 10, Seq(m("y", os, oe)), mode))
+      assert(e.getMessage.contains("[2, 10)"), e.getMessage)
+    }
   }
 
   test("toMatches drops null-padded rows") {
@@ -165,8 +173,10 @@ class GroupWindowsSpec extends AnyFunSuite {
 
   // ---------------------------------------- brute-force definition check
 
-  /** Table II evaluated literally per time point, for one r tuple. */
-  private def bruteCheck(seed: Int): Unit = {
+  private val seeds = 1 to 25
+
+  /** A random r tuple `[rts, rte)` with up to five matches inside it. */
+  private def randomGroup(seed: Int): (Long, Long, Seq[SMatch]) = {
     val rnd = new Random(seed)
     val rts = rnd.nextInt(5).toLong
     val rte = rts + 3 + rnd.nextInt(15)
@@ -176,6 +186,12 @@ class GroupWindowsSpec extends AnyFunSuite {
       val oe = math.min(rte, os + 1 + rnd.nextInt(6))
       m(s"y$i", os, oe, ps = 0.5)
     }.filter(mm => mm.os < mm.oe)
+    (rts, rte, ms)
+  }
+
+  /** Table II evaluated literally per time point, for one r tuple. */
+  private def bruteCheck(seed: Int): Unit = {
+    val (rts, rte, ms) = randomGroup(seed)
     val wins = GroupWindows.all("R", "r1", 0.5, rts, rte, ms)
     // per-point valid set from the definition
     def validAt(t: Long) = ms.filter(mm => mm.os <= t && t < mm.oe).map(_.ls).sorted
@@ -200,9 +216,19 @@ class GroupWindowsSpec extends AnyFunSuite {
     }
   }
 
-  (1 to 25).foreach { seed =>
+  seeds.foreach { seed =>
     test(s"windows match the Table II definitions pointwise (seed $seed)") {
       bruteCheck(seed)
+    }
+  }
+
+  test("each mode emits all()'s windows of its kinds, in all()'s order") {
+    for (seed <- seeds; mode <- modes) {
+      val (rts, rte, ms) = randomGroup(seed)
+      val kinds = Seq("U" -> mode.u, "O" -> mode.o, "N" -> mode.n).collect { case (k, true) => k }
+      assert(GroupWindows.windows("R", "r1", 0.5, rts, rte, ms, mode) ==
+        GroupWindows.all("R", "r1", 0.5, rts, rte, ms).filter(w => kinds.contains(w.kind)),
+        s"seed=$seed mode=$mode")
     }
   }
 }

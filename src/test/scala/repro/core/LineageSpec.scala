@@ -193,6 +193,12 @@ class LineageSpec extends AnyFunSuite {
       assert(pool.forall(Lineage.isAtom), s"case $i")
       assert(Lineage.renderAnd(a, b) == astAnd(a, b), s"$a ∧ $b (case $i)")
       assert(Lineage.renderAndNotOr(a, bs) == astAndNotOr(a, bs), s"$a ∧ ¬∨$bs (case $i)")
+      // the valuation is exact: it equals Lineage.prob of the composed lineage
+      val probs = pool.map(_ -> rnd.nextDouble()).toMap
+      assert(math.abs(Lineage.probAnd(a, probs(a), b, probs(b)) -
+        p(astAnd(a, b)).prob(probs)) < 1e-12, s"P($a ∧ $b) (case $i)")
+      assert(math.abs(Lineage.probAndNotOr(a, probs(a), bs, bs.map(probs)) -
+        p(astAndNotOr(a, bs)).prob(probs)) < 1e-12, s"P($a ∧ ¬∨$bs) (case $i)")
     }
     assert(Lineage.renderAnd("r-1.a:b#2", "r-1.a:b#2") == "r-1.a:b#2")
     assert(Lineage.renderAnd("r-1.a:b#2", "s_3") == "r-1.a:b#2&s_3")
@@ -206,6 +212,15 @@ class LineageSpec extends AnyFunSuite {
     derived.foreach(d => assert(!Lineage.isAtom(d), d))
     for (x <- all; y <- all) {
       assert(Lineage.renderAnd(x, y) == astAnd(x, y), s"'$x' ∧ '$y'")
+      // derived operands are valued by the product only when they share no base tuple
+      if (Lineage.isAtom(x) && Lineage.isAtom(y) || (p(x).vars & p(y).vars).isEmpty)
+        assert(Lineage.probAnd(x, 0.5, y, 0.25) == (if (x == y) 0.5 else 0.125), s"P('$x' ∧ '$y')")
+      else {
+        val e = intercept[IllegalArgumentException](Lineage.probAnd(x, 0.5, y, 0.25))
+        val shared = (p(x).vars & p(y).vars).toSeq.sorted.mkString(", ")
+        assert(e.getMessage.contains(s"share base tuples $shared"), e.getMessage)
+        intercept[IllegalArgumentException](Lineage.probAndNotOr(x, 0.5, Seq(y), Seq(0.25)))
+      }
       assert(Lineage.renderAndNotOr(x, Seq(y)) == astAndNotOr(x, Seq(y)), s"'$x' ∧ ¬'$y'")
       assert(Lineage.renderAndNotOr(x, Seq(y, "c", y)) == astAndNotOr(x, Seq(y, "c", y)),
         s"'$x' ∧ ¬('$y' ∨ c ∨ '$y')")

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.execution.joins.BaseJoinExec
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestUtil}
@@ -9,6 +10,8 @@ import repro.TestUtil._
   * Fig. 3 (TP anti join), Fig. 5 (winit) and the window sets of Fig. 2/4.
   */
 class NegationJoinSpec extends SparkSpec {
+
+  import NegationJoin.{Mode, windowsFrom, winitRows}
 
   private lazy val a = TestUtil.aDf(spark)
   private lazy val b = TestUtil.bDf(spark)
@@ -41,19 +44,19 @@ class NegationJoinSpec extends SparkSpec {
   }
 
   test("window sets match Fig. 2: unmatched windows w1, w2") {
-    val wins = NegationJoin.windowsAll(a, b, theta).collect()
+    val wins = windowsFrom(winitRows(a, b, theta), Mode.All).collect()
     val u = wins.filter(_.kind == "U").map(w => (w.lr, w.ts, w.te)).toSet
     assert(u == Set(("a1", 2L, 4L), ("a2", 7L, 10L)))
   }
 
   test("window sets match Fig. 2: overlapping windows w3, w4") {
-    val wins = NegationJoin.windowsAll(a, b, theta).collect()
+    val wins = windowsFrom(winitRows(a, b, theta), Mode.All).collect()
     val o = wins.filter(_.kind == "O").map(w => (w.lr, w.lsLins.head, w.ts, w.te)).toSet
     assert(o == Set(("a1", "b3", 4L, 6L), ("a1", "b2", 5L, 8L)))
   }
 
   test("window sets match Fig. 2: negating windows w5, w6, w7") {
-    val wins = NegationJoin.windowsAll(a, b, theta).collect()
+    val wins = windowsFrom(winitRows(a, b, theta), Mode.All).collect()
     val n = wins.filter(_.kind == "N").map(w => (w.lr, w.lsLins.mkString("|"), w.ts, w.te)).toSet
     assert(n == Set(
       ("a1", "b3", 4L, 5L),
@@ -189,7 +192,7 @@ class NegationJoinSpec extends SparkSpec {
       KTup("A", "y1", 0.5, 0, 4),
       KTup("A", "y2", 0.5, 2, 8),
       KTup("A", "y3", 0.5, 6, 10)).toDF()
-    val wins = NegationJoin.windowsAll(r, s, NegationJoin.thetaEq("k")).collect()
+    val wins = windowsFrom(winitRows(r, s, NegationJoin.thetaEq("k")), Mode.All).collect()
     val n = wins.filter(_.kind == "N").map(w => (w.lsLins.mkString("|"), w.ts, w.te)).toSet
     assert(n == Set(
       ("y1", 0L, 2L), ("y1|y2", 2L, 4L), ("y2", 4L, 6L),
@@ -218,6 +221,51 @@ class NegationJoinSpec extends SparkSpec {
       .map(x => (x.getString(0), x.getLong(1), x.getLong(2))).toSet
     assert(got == Set(("x1|x2", 0L, 3L), ("(x1|x2)&y1&!y2", 3L, 6L),
       ("(x1|x2)&!(y1&!y2)", 3L, 6L), ("x1|x2", 6L, 10L)))
+  }
+
+  test("a self-join is exact: a∧a has p(a) and a∧¬a has p = 0, in NJ, TA and SnapshotRef") {
+    val refTheta: SnapshotRef.Theta = (f1, f2) => f1("loc") == f2("loc")
+    type Row6 = (String, String, String, Double, Long, Long)
+    def nj(df: DataFrame): Set[Row6] = df.select("name", "s_name", "lin", "p", "ts", "te")
+      .collect().map(r => (Option(r.getString(0)).getOrElse("-"), Option(r.getString(1)).getOrElse("-"),
+        Lineage.canonicalString(r.getString(2)), math.rint(r.getDouble(3) * 1e9) / 1e9,
+        r.getLong(4), r.getLong(5))).toSet
+    def ref(out: Seq[RefOut]): Set[Row6] = out.map(o =>
+      (o.leftFact.map(_("name")).getOrElse("-"), o.rightFact.map(_("name")).getOrElse("-"),
+        Lineage.canonicalString(o.lin), math.rint(o.p * 1e9) / 1e9, o.ts, o.te)).toSet
+    val o = Set[Row6](("Ann", "Ann", "a1", 0.7, 2, 8), ("Jim", "Jim", "a2", 0.8, 7, 10))
+    val nl = Set[Row6](("Ann", "-", Lineage.canonicalString("a1&!a1"), 0.0, 2, 8),
+      ("Jim", "-", Lineage.canonicalString("a2&!a2"), 0.0, 7, 10))
+    val nr = nl.map { case (l, _, lin, p, ts, te) => ("-", l, lin, p, ts, te) }
+    val ta = repro.ta.TemporalAlignment
+    val cases = Seq(
+      (TPJoinOp.Anti, nl, ta.anti _, SnapshotRef.anti _),
+      (TPJoinOp.LeftOuter, o ++ nl, ta.leftOuter _, SnapshotRef.leftOuter _),
+      (TPJoinOp.RightOuter, o ++ nr, ta.rightOuter _, SnapshotRef.rightOuter _),
+      (TPJoinOp.FullOuter, o ++ nl ++ nr, ta.fullOuter _, SnapshotRef.fullOuter _))
+    for ((op, want, taOp, refOp) <- cases) {
+      // ▷ outputs no right facts: read the right name as absent
+      def norm(df: DataFrame) = if (op == TPJoinOp.Anti) df.withColumn("s_name", lit(null: String)) else df
+      assert(nj(norm(NegationJoin(a, a, theta, op))) == want, s"NJ $op")
+      assert(nj(norm(taOp(a, a, theta))) == want, s"TA $op")
+      assert(ref(refOp(aRef, aRef, refTheta)) == want, s"SnapshotRef $op")
+    }
+  }
+
+  test("operands sharing a base tuple through derived lineage are rejected: (r ▷ s) ⟕ s") {
+    import spark.implicits._
+    val r = Seq(KTup("A", "a", 0.5, 0, 10)).toDF()
+    val s = Seq(KTup("A", "b", 0.4, 3, 6)).toDF()
+    val kTheta = NegationJoin.thetaEq("k")
+    val rs = NegationJoin(r, s, kTheta, TPJoinOp.Anti)
+    for (run <- Seq[() => Any](
+        () => NegationJoin(rs, s, kTheta, TPJoinOp.LeftOuter).collect(),
+        () => repro.ta.TemporalAlignment.leftOuter(rs, s, kTheta).collect())) {
+      val e = intercept[Exception](run())
+      val cause = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+        .collectFirst { case x: IllegalArgumentException => x }
+      assert(cause.exists(_.getMessage.contains("share base tuples b")), e.toString)
+    }
   }
 
   test("a right fact renamed onto a left fact's name is rejected before the query runs") {

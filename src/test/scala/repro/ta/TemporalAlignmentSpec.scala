@@ -27,6 +27,19 @@ class TemporalAlignmentSpec extends SparkSpec {
       ("a1", 2L, 4L),  // gap before b3
       ("a2", 7L, 10L)  // fully unmatched
     ))
+    // align's gaps are its own scan: they must be NJ's U windows, and its
+    // intersections NJ's O windows, on random relations too
+    (1 to 6).foreach { seed =>
+      val r = kDf(spark, randomRelation(seed, Seq("A", "B", "C"), 30, 3, "x"))
+      val s = kDf(spark, randomRelation(seed + 2000, Seq("A", "B", "C"), 30, 3, "y"))
+      val aligned = TemporalAlignment.align(r, s, kTheta).select("lin", "ts", "te").collect()
+        .map(x => (x.getString(0), x.getLong(1), x.getLong(2))).toSet
+      val wins = NegationJoin.windowsFrom(NegationJoin.winitRows(r, s, kTheta), NegationJoin.Mode.UO)
+        .collect()
+      def of(kind: String) = wins.filter(_.kind == kind).map(w => (w.lr, w.ts, w.te)).toSet
+      assert(aligned -- of("O") == of("U"), s"gaps seed=$seed")
+      assert(aligned == of("U") ++ of("O"), s"align seed=$seed")
+    }
   }
 
   test("align of b by a clips to the matching tuples") {
