@@ -10,7 +10,10 @@ import org.apache.spark.sql.functions._
   * expand every `r` tuple to its time points, left-join the `s` tuples valid
   * at each point under θ, and build the canonical lineage string and the
   * independence-based probability per point. The Spark side expands the
-  * interval output with `explode(sequence(ts, te-1))`. Both sides are fed to
+  * interval output with `explode(sequence(ts, te-1))`. Probabilities are
+  * exact for base-tuple ids, also when both inputs hold the same tuple
+  * (self-joins): `a∧a` is `a` with `pa`, and `a∧¬(…a…)` is unsatisfiable,
+  * its row kept with `p = 0`. Both sides are fed to
   * `repro.Oracle.assertEquivalent`, which also re-verifies interval merging
   * implicitly (wrong merging changes the expanded multiset... it changes the
   * point set; maximality is asserted separately via ChangePreserve).
@@ -54,9 +57,17 @@ object PointOracle {
        |                   WHEN match_cnt_ = 1 THEN lin || '&!' || slins[1]
        |                   ELSE lin || '&!(' || array_to_string(slins, '|') || ')'
        |              END AS lin,
-       |              p * negp AS p, t
+       |              CASE WHEN list_contains(slins, agg.lin) THEN 0.0 ELSE p * negp END AS p, t
        |       FROM agg
        |     )""".stripMargin
+
+  /** The `lin` and `p` columns of an O row `l ∧ r`: `l&r` with `pl·pr`, or
+    * `l` with `pl` for one base tuple on both sides (`a∧a` is `a`), as
+    * [[Lineage.renderAnd]] and [[Lineage.probAnd]] value base-tuple ids.
+    */
+  private def and(l: String, r: String): String =
+    s"CASE WHEN $l.lin = $r.lin THEN $l.lin ELSE $l.lin || '&' || $r.lin END AS lin, " +
+      s"CASE WHEN $l.lin = $r.lin THEN $l.p ELSE $l.p * $r.p END AS p"
 
   /** DuckDB SQL recomputing `r ▷Tp s` per time point. */
   def antiSql(rFacts: Seq[String], sFacts: Seq[String], theta: ThetaSql): String =
@@ -75,7 +86,7 @@ object PointOracle {
       s"""
          |, orows AS (
          |    SELECT ${rFacts.map(f => "rp." + f).mkString(", ")}, $sSel,
-         |           rp.lin || '&' || s.lin AS lin, rp.p * s.p AS p, rp.t
+         |           ${and("rp", "s")}, rp.t
          |    FROM rpts rp JOIN ss s
          |      ON (${theta("rp", "s")}) AND s.ts <= rp.t AND rp.t < s.te
          |)
@@ -97,7 +108,7 @@ object PointOracle {
       s"""
          |, orows AS (
          |    SELECT $rSel, ${sSel("sp")},
-         |           r.lin || '&' || sp.lin AS lin, r.p * sp.p AS p, sp.t
+         |           ${and("r", "sp")}, sp.t
          |    FROM rpts sp JOIN ss r
          |      ON (${theta("r", "sp")}) AND r.ts <= sp.t AND sp.t < r.te
          |)

@@ -1,9 +1,13 @@
 package repro.util
 
+import org.apache.spark.sql.Dataset
+
 /** Minimal wall-clock benchmark harness: warmup + median-of-k runs.
   *
-  * Benchmarked thunks must force full execution themselves (e.g. call
-  * `df.count()`); the harness measures the thunk end-to-end.
+  * Queries are timed through [[noopMedianMs]], which writes every row of the
+  * query to Spark's `noop` sink. `count()` would let Catalyst prune the
+  * columns a count does not need (the fact-unpacking projection among them),
+  * so it would time a smaller plan than the query's.
   */
 object Bench {
 
@@ -19,6 +23,10 @@ object Bench {
     val times = (0 until reps).map(_ => timeMs(f)._2).sorted
     times(times.length / 2)
   }
+
+  /** [[medianMs]] of running `query` to completion into the `noop` sink. */
+  def noopMedianMs(reps: Int, warmup: Int)(query: => Dataset[_]): Double =
+    medianMs(reps, warmup)(query.write.format("noop").mode("overwrite").save())
 
   /** Render one markdown table row. */
   def row(cells: Any*): String =

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeLike
 import org.apache.spark.sql.execution.joins.BaseJoinExec
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestUtil}
@@ -121,17 +122,22 @@ class NegationJoinSpec extends SparkSpec {
   }
 
   test("plan shape: ▷, ⟕ and ⟖ plan one join, ⟗ two") {
-    // Planned with adaptive execution off, so the plan holds every join up front.
-    def joins(op: TPJoinOp): Int = {
+    // Planned with adaptive execution off, so the plan holds every join and
+    // exchange up front. Per pass: one exchange for each CLJ input and one
+    // for the sweep's grouping; ⟗'s swapped pass reuses the CLJ input
+    // exchanges of its first pass.
+    def shape(op: TPJoinOp): (Int, Int) = {
       val aqe = "spark.sql.adaptive.enabled"
       val was = spark.conf.get(aqe)
       spark.conf.set(aqe, false)
-      try NegationJoin(a, b, theta, op).queryExecution.executedPlan
-        .collect { case j: BaseJoinExec => j }.size
-      finally spark.conf.set(aqe, was)
+      try {
+        val plan = NegationJoin(a, b, theta, op).queryExecution.executedPlan
+        (plan.collect { case j: BaseJoinExec => j }.size,
+         plan.collect { case e: ShuffleExchangeLike => e }.size)
+      } finally spark.conf.set(aqe, was)
     }
     val ops = Seq(TPJoinOp.Anti, TPJoinOp.LeftOuter, TPJoinOp.RightOuter, TPJoinOp.FullOuter)
-    assert(ops.map(joins) == Seq(1, 1, 1, 2))
+    assert(ops.map(shape) == Seq((1, 3), (1, 3), (1, 3), (2, 4)))
   }
 
   test("anti join of disjoint relations passes r through unchanged") {

@@ -47,6 +47,22 @@ class PointOracleSpec extends SparkSpec {
       "r" -> aDf(spark), "s" -> bDf(spark))
   }
 
+  // Self-joins put the same base tuples on both sides: `a1∧a1` is `a1` with
+  // p(a1), and `a1∧¬a1` is kept with p = 0.
+  private val aFacts = Seq("name", "loc")
+  private val aOut = Seq("name" -> "s_name", "loc" -> "s_loc")
+  Seq(
+    ("anti", TPJoinOp.Anti, PointOracle.antiSql(aFacts, aFacts, thetaSql)),
+    ("left outer", TPJoinOp.LeftOuter, PointOracle.leftOuterSql(aFacts, aOut, thetaSql)),
+    ("right outer", TPJoinOp.RightOuter, PointOracle.rightOuterSql(aFacts, aOut, thetaSql)),
+    ("full outer", TPJoinOp.FullOuter, PointOracle.fullOuterSql(aFacts, aOut, thetaSql)),
+  ).foreach { case (name, op, sql) =>
+    test(s"TP $name self-join of the paper's relation a matches DuckDB point expansion") {
+      val out = NegationJoin(aDf(spark), aDf(spark), theta, op)
+      Oracle.assertEquivalent(PointOracle.expand(out), sql, "r" -> aDf(spark), "s" -> aDf(spark))
+    }
+  }
+
   private val kThetaSql: PointOracle.ThetaSql = (r, s) => s"$r.k = $s.k"
 
   /** The random inputs of one test: plain facts and ids, then facts made of
