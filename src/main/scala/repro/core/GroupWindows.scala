@@ -55,9 +55,15 @@ object GroupWindows {
     */
   def windows(fr: String, lr: String, pr: Double, rts: Long, rte: Long,
               matches: Seq[SMatch], mode: NegationJoin.Mode): Vector[Win] = {
+    require(lr != null, s"an r tuple over [$rts, $rte) has a null lineage")
+    require(rts < rte, s"r tuple $lr has the empty or inverted interval [$rts, $rte)")
+    require(0 <= pr && pr <= 1, s"r tuple $lr has probability $pr outside [0, 1]")
     // A match outside [rts, rte) would never be reached by the boundary walk.
-    matches.foreach(m => require(rts <= m.os && m.os < m.oe && m.oe <= rte,
-      s"match ${m.ls} over [${m.os}, ${m.oe}) is not a non-empty part of [$rts, $rte)"))
+    matches.foreach { m =>
+      require(rts <= m.os && m.os < m.oe && m.oe <= rte,
+        s"match ${m.ls} over [${m.os}, ${m.oe}) is not a non-empty part of [$rts, $rte)")
+      require(0 <= m.ps && m.ps <= 1, s"s tuple ${m.ls} has probability ${m.ps} outside [0, 1]")
+    }
     val byStart = matches.sortBy(m => (m.os, m.oe, m.ls)).toArray
     val n = byStart.length
     val byEnd = Array.range(0, n).sortBy(byStart(_).oe)
@@ -94,11 +100,15 @@ object GroupWindows {
     windows(fr, lr, pr, rts, rte, matches, NegationJoin.Mode.All)
 
   /** One `r` tuple's winit rows as its (possibly empty) match list; null-
-    * padded rows (no `s` partner) contribute no match.
+    * padded rows (no `s` partner) contribute no match. A matching `s` tuple
+    * with a null `lin` or `p` is rejected.
     */
   def toMatches(rows: Seq[XRow]): Seq[SMatch] =
     rows.flatMap { x =>
-      for (fs <- x.fs; ls <- x.ls; ps <- x.ps; os <- x.os; oe <- x.oe)
-        yield SMatch(fs, ls, ps, os, oe)
+      for (fs <- x.fs; os <- x.os; oe <- x.oe) yield {
+        require(x.ls.isDefined && x.ps.isDefined,
+          s"an s tuple matching r tuple ${x.lr} over [$os, $oe) has a null lin or p")
+        SMatch(fs, x.ls.get, x.ps.get, os, oe)
+      }
     }
 }

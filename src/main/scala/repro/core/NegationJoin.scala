@@ -91,7 +91,8 @@ object NegationJoin {
     val rhs = inner.as("_r")
     val thetaCol = if (swap) theta("_r", "_l") else theta("_l", "_r")
     val overlap = col("_l.ts") < col("_r.te") && col("_r.ts") < col("_l.te")
-    val matched = col("_r.lin").isNotNull
+    // θo needs a non-null `_r.ts`; a match with a null lin or p is the sweep's to reject
+    val matched = col("_r.ts").isNotNull
     lhs.join(rhs, thetaCol && overlap, "left_outer").select(
       to_json(struct(of.map(c => col(s"_l.$c").as(c)): _*)).as("fr"),
       col("_l.lin").as("lr"),

@@ -1,13 +1,8 @@
 package repro.ta
 
-import org.apache.spark.sql.{Column, DataFrame, Dataset}
+import org.apache.spark.sql.{Column, DataFrame, Row}
 import org.apache.spark.sql.functions._
 import repro.core._
-
-/** A tuple of a normalized relation: the generating tuple's fact (packed),
-  * lineage and probability, with one split subinterval.
-  */
-final case class SegRow(fr: String, lr: String, pr: Double, ts: Long, te: Long)
 
 /** TA — the Temporal Alignment baseline (Dignös et al., SIGMOD'12/TODS'16)
   * with the TP reduction rules the paper built for its comparison (§VII-A,
@@ -24,6 +19,10 @@ final case class SegRow(fr: String, lr: String, pr: Double, ts: Long, te: Long)
   *  - [[normalize]] `N(k, m)` — `k` tuples split at every boundary of a
   *    matching `m` tuple (group-based adjustment).
   *
+  * Each adjustment operator is ONE left outer join `k ⟕_{θ ∧ overlap} m` and
+  * one scan per `k` tuple, as in Dignös et al.; TA shares no join, row format
+  * or sweep with NJ.
+  *
   * The TP reduction rules then compute
   *
   *  - `WO ∪ WU` as `Φ(k,m) ⟕_{θ ∧ T=T} Φ(m,k)` + duplicate elimination
@@ -34,8 +33,9 @@ final case class SegRow(fr: String, lr: String, pr: Double, ts: Long, te: Long)
   *  - TP joins as the duplicate-eliminating union of the two subtrees.
   *
   * This reproduces the redundancy the paper measures: per TP left outer
-  * join, TA runs 4 interval joins + an aggregation + 2 distincts where NJ
-  * runs 1 interval join + one partition-local sweep. Both implementations
+  * join, TA plans 5 joins (two aligns, their pairing join, a normalize and
+  * its containment join) + an aggregation + 2 distincts, where NJ plans 1
+  * join + one partition-local sweep. Both implementations
   * produce identical results (tested), and both compose and value output
   * lineage with the same functions ([[Lineage.renderAnd]],
   * [[Lineage.renderAndNotOr]], [[Lineage.probAnd]], [[Lineage.probAndNotOr]]),
@@ -43,7 +43,7 @@ final case class SegRow(fr: String, lr: String, pr: Double, ts: Long, te: Long)
   */
 object TemporalAlignment {
 
-  import NegationJoin.{factCols, winitRows}
+  import NegationJoin.factCols
 
   private val linAnd = udf((a: String, b: String) => Lineage.renderAnd(a, b))
   private val linAndNotOr = udf((a: String, bs: Seq[String]) => Lineage.renderAndNotOr(a, bs))
@@ -57,64 +57,50 @@ object TemporalAlignment {
 
   /** Φ(k, m): replicate `k` per pairwise intersection with matching `m`
     * tuples, plus the uncovered gaps. θ is in (k-alias, m-alias) order.
-    * Output keeps `k`'s schema (facts + lin/p) with adjusted `ts`/`te`.
+    * Output keeps `k`'s schema (facts + lin/p) with adjusted `ts`/`te`, plus
+    * `ots`/`ote`: `k`'s interval for an intersection, so the downstream
+    * equal-interval join can verify the joined interval IS the pairwise
+    * intersection of the generating tuples, and the gap itself for a gap.
     */
-  def align(k: DataFrame, m: DataFrame, theta: (String, String) => Column): DataFrame = {
-    val kf = factCols(k)
-    // replica per matching pair: the pairwise intersection. `ots`/`ote` keep
-    // the replica's original interval (as the kernel implementation does) so
-    // the downstream equal-interval join can verify the joined interval IS
-    // the pairwise intersection of the generating tuples.
-    val inter = k.as("_l").join(m.as("_r"), theta("_l", "_r") && overlapCond, "inner")
-      .select(
-        kf.map(c => col(s"_l.$c").as(c)) ++ Seq(
-          col("_l.lin").as("lin"), col("_l.p").as("p"),
-          greatest(col("_l.ts"), col("_r.ts")).as("ts"),
-          least(col("_l.te"), col("_r.te")).as("te"),
-          col("_l.ts").as("ots"), col("_l.te").as("ote")): _*)
-    // replica per maximal uncovered gap: a frontier scan over the matches in
-    // start order; a gap ends at the next start (or at k.te) beyond the frontier
-    val gaps = perTuple(k, m, theta) { (t, ms) =>
-      val sorted = ms.sortBy(_.os)
-      val frontiers = sorted.scanLeft(t.ts)((cover, mt) => math.max(cover, mt.oe))
-      (sorted.map(_.os) :+ t.te).zip(frontiers)
-        .collect { case (end, cover) if cover < end => t.copy(ts = cover, te = end) }
+  def align(k: DataFrame, m: DataFrame, theta: (String, String) => Column): DataFrame =
+    perTuple(k, m, theta) { (ts, te, ms) =>
+      // gaps: a frontier scan over the matches in start order; a gap ends at
+      // the next start (or at k.te) beyond the frontier
+      val sorted = ms.sortBy(_._1)
+      val frontiers = sorted.scanLeft(ts)((cover, mt) => math.max(cover, mt._2))
+      val gaps = (sorted.map(_._1) :+ te).zip(frontiers)
+        .collect { case (end, cover) if cover < end => (cover, end, cover, end) }
+      ms.map { case (os, oe) => (os, oe, ts, te) } ++ gaps
     }
-    inter.unionByName(toKSchema(gaps, k).withColumn("ots", col("ts")).withColumn("ote", col("te")))
-  }
 
   /** N(k, m): split each `k` tuple at every boundary of a matching `m`
-    * tuple (clipped to `k.T`). θ in (k-alias, m-alias) order. Output:
-    * `k`'s facts packed as JSON + lineage/probability + split interval.
+    * tuple (clipped to `k.T`). θ in (k-alias, m-alias) order. Output keeps
+    * `k`'s schema with the split intervals as `ts`/`te`.
     */
-  def normalize(k: DataFrame, m: DataFrame, theta: (String, String) => Column): Dataset[SegRow] =
-    perTuple(k, m, theta) { (t, ms) =>
-      val bounds = (ms.flatMap(mt => Seq(mt.os, mt.oe)) ++ Seq(t.ts, t.te)).distinct.sorted
-      bounds.sliding(2).collect { case Seq(a, b) if a < b => t.copy(ts = a, te = b) }.toSeq
-    }
+  def normalize(k: DataFrame, m: DataFrame, theta: (String, String) => Column): DataFrame =
+    perTuple(k, m, theta) { (ts, te, ms) =>
+      val bounds = (ms.flatMap { case (os, oe) => Seq(os, oe) } ++ Seq(ts, te)).distinct.sorted
+      bounds.sliding(2).collect { case Seq(a, b) if a < b => (a, b, a, b) }.toSeq
+    }.drop("ots", "ote")
 
-  /** `split` maps each `k` tuple, as a [[SegRow]] over its whole interval,
-    * and its matches in `m` clipped to it, to the tuple's replicas.
+  /** The adjustment plan: `split` maps a `k` tuple's interval and its
+    * matches clipped to it to the replicas' `(ts, te, ots, ote)`. Output:
+    * `k`'s columns with `ts`/`te` replaced, plus `ots`/`ote`.
     */
   private def perTuple(k: DataFrame, m: DataFrame, theta: (String, String) => Column)(
-      split: (SegRow, Seq[SMatch]) => Seq[SegRow]): Dataset[SegRow] = {
-    val spark = k.sparkSession
-    import spark.implicits._
-    winitRows(k, m, theta)
-      .groupByKey(row => (row.fr, row.lr, row.rts, row.rte))
-      .flatMapGroups { (key, it) =>
-        val (fr, lr, rts, rte) = key
-        val rows = it.toVector
-        split(SegRow(fr, lr, rows.head.pr, rts, rte), GroupWindows.toMatches(rows))
-      }
-  }
-
-  /** Replicas of `k` tuples in `k`'s schema: facts, `lin`, `p`, `ts`, `te`. */
-  private def toKSchema(segs: Dataset[SegRow], k: DataFrame): DataFrame = {
-    val kf = factCols(k)
-    segs.select(from_json(col("fr"), k.select(kf.map(col): _*).schema).as("_f"),
-                col("lr").as("lin"), col("pr").as("p"), col("ts"), col("te"))
-      .select(kf.map(c => col(s"_f.$c").as(c)) ++ Seq(col("lin"), col("p"), col("ts"), col("te")): _*)
+      split: (Long, Long, Seq[(Long, Long)]) => Seq[(Long, Long, Long, Long)]): DataFrame = {
+    val splitUdf = udf((ts: Long, te: Long, ms: Seq[Row]) =>
+      split(ts, te, ms.map(x => (x.getLong(0), x.getLong(1)))))
+    k.as("_l").join(m.as("_r"), theta("_l", "_r") && overlapCond, "left_outer")
+      .groupBy(k.columns.toSeq.map(c => col(s"_l.$c")): _*)
+      .agg(collect_list(when(col("_r.ts").isNotNull,
+        struct(greatest(col("_l.ts"), col("_r.ts")), least(col("_l.te"), col("_r.te"))))).as("_ms"))
+      .withColumn("_seg", explode(splitUdf(col("ts"), col("te"), col("_ms"))))
+      .select(k.columns.toSeq.map {
+        case "ts" => col("_seg._1").as("ts")
+        case "te" => col("_seg._2").as("te")
+        case c => col(c)
+      } ++ Seq(col("_seg._3").as("ots"), col("_seg._4").as("ote")): _*)
   }
 
   /** Fig. 10b subtree: `Φ(k,m) ⟕_{θ ∧ T=T} Φ(m,k)` + distinct → WO ∪ WU
@@ -151,8 +137,7 @@ object TemporalAlignment {
     */
   def windowsNU(k: DataFrame, m: DataFrame, theta: (String, String) => Column): DataFrame = {
     val kf = factCols(k)
-    // unpack segments back to k's schema so θ can be applied again
-    val segs = toKSchema(normalize(k, m, theta), k)
+    val segs = normalize(k, m, theta)
     // segments never cross a matching boundary, so overlap ⇒ containment
     val j = segs.as("_l").join(m.as("_r"), theta("_l", "_r") && overlapCond, "left_outer")
     val grouped = j

@@ -1,6 +1,8 @@
 package repro
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeLike
+import org.apache.spark.sql.execution.joins.BaseJoinExec
 import repro.core.{Lineage, TPTuple}
 import scala.util.Random
 
@@ -93,5 +95,20 @@ object TestUtil {
   def canonSet(df: DataFrame): Set[Seq[String]] = {
     val cols = df.columns.sorted
     df.select(cols.head, cols.tail: _*).collect().map(canonRow).toSet
+  }
+
+  /** The number of joins and of shuffle exchanges in `df`'s physical plan.
+    * Planned with adaptive execution off, so the plan holds every join and
+    * exchange up front.
+    */
+  def planShape(spark: SparkSession)(df: => DataFrame): (Int, Int) = {
+    val aqe = "spark.sql.adaptive.enabled"
+    val was = spark.conf.get(aqe)
+    spark.conf.set(aqe, false)
+    try {
+      val plan = df.queryExecution.executedPlan
+      (plan.collect { case j: BaseJoinExec => j }.size,
+       plan.collect { case e: ShuffleExchangeLike => e }.size)
+    } finally spark.conf.set(aqe, was)
   }
 }

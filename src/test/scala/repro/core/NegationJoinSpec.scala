@@ -1,8 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.execution.exchange.ShuffleExchangeLike
-import org.apache.spark.sql.execution.joins.BaseJoinExec
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestUtil}
 import repro.TestUtil._
@@ -122,22 +120,12 @@ class NegationJoinSpec extends SparkSpec {
   }
 
   test("plan shape: ▷, ⟕ and ⟖ plan one join, ⟗ two") {
-    // Planned with adaptive execution off, so the plan holds every join and
-    // exchange up front. Per pass: one exchange for each CLJ input and one
-    // for the sweep's grouping; ⟗'s swapped pass reuses the CLJ input
-    // exchanges of its first pass.
-    def shape(op: TPJoinOp): (Int, Int) = {
-      val aqe = "spark.sql.adaptive.enabled"
-      val was = spark.conf.get(aqe)
-      spark.conf.set(aqe, false)
-      try {
-        val plan = NegationJoin(a, b, theta, op).queryExecution.executedPlan
-        (plan.collect { case j: BaseJoinExec => j }.size,
-         plan.collect { case e: ShuffleExchangeLike => e }.size)
-      } finally spark.conf.set(aqe, was)
-    }
+    // Per pass: one exchange for each CLJ input and one for the sweep's
+    // grouping; ⟗'s swapped pass reuses the CLJ input exchanges of its
+    // first pass.
     val ops = Seq(TPJoinOp.Anti, TPJoinOp.LeftOuter, TPJoinOp.RightOuter, TPJoinOp.FullOuter)
-    assert(ops.map(shape) == Seq((1, 3), (1, 3), (1, 3), (2, 4)))
+    assert(ops.map(op => planShape(spark)(NegationJoin(a, b, theta, op))) ==
+      Seq((1, 3), (1, 3), (1, 3), (2, 4)))
   }
 
   test("anti join of disjoint relations passes r through unchanged") {
@@ -264,14 +252,62 @@ class NegationJoinSpec extends SparkSpec {
     val s = Seq(KTup("A", "b", 0.4, 3, 6)).toDF()
     val kTheta = NegationJoin.thetaEq("k")
     val rs = NegationJoin(r, s, kTheta, TPJoinOp.Anti)
-    for (run <- Seq[() => Any](
-        () => NegationJoin(rs, s, kTheta, TPJoinOp.LeftOuter).collect(),
-        () => repro.ta.TemporalAlignment.leftOuter(rs, s, kTheta).collect())) {
-      val e = intercept[Exception](run())
-      val cause = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
-        .collectFirst { case x: IllegalArgumentException => x }
-      assert(cause.exists(_.getMessage.contains("share base tuples b")), e.toString)
+    rejects("share base tuples b")(NegationJoin(rs, s, kTheta, TPJoinOp.LeftOuter).collect())
+    rejects("share base tuples b")(repro.ta.TemporalAlignment.leftOuter(rs, s, kTheta).collect())
+  }
+
+  // ------------------------------------------------------ input contract
+
+  /** `run` fails with an `IllegalArgumentException`, possibly wrapped by
+    * Spark, whose message contains `msg`.
+    */
+  private def rejects(msg: String)(run: => Any): Unit = {
+    val e = intercept[Exception](run)
+    val cause = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+      .collectFirst { case x: IllegalArgumentException => x }
+    assert(cause.exists(_.getMessage.contains(msg)), e.toString)
+  }
+
+  private type NullableTup = (String, String, Option[Double], Long, Long)
+  private def nullableDf(ts: NullableTup*): DataFrame = {
+    import spark.implicits._
+    ts.toDF("k", "lin", "p", "ts", "te")
+  }
+
+  test("a matching s tuple with a null lin or p is rejected, not ignored") {
+    import spark.implicits._
+    val r = Seq(KTup("A", "x1", 0.5, 0, 10)).toDF()
+    val kTheta = NegationJoin.thetaEq("k")
+    for (s <- Seq(nullableDf(("A", null, Some(0.4), 3, 6)), nullableDf(("A", "y1", None, 3, 6))))
+      rejects("matching r tuple x1 over [3, 6) has a null lin or p")(
+        NegationJoin(r, s, kTheta, TPJoinOp.Anti).collect())
+  }
+
+  test("r tuples over an empty or inverted interval are rejected, not dropped") {
+    import spark.implicits._
+    val s = Seq(KTup("B", "y1", 0.4, 0, 10)).toDF()
+    for ((ts, te) <- Seq((5L, 5L), (9L, 7L))) {
+      val r = Seq(KTup("A", "x1", 0.5, ts, te)).toDF()
+      rejects(s"empty or inverted interval [$ts, $te)")(
+        NegationJoin(r, s, NegationJoin.thetaEq("k"), TPJoinOp.LeftOuter).collect())
     }
+  }
+
+  test("probabilities outside [0, 1] are rejected on either side") {
+    import spark.implicits._
+    val kTheta = NegationJoin.thetaEq("k")
+    val ok = Seq(KTup("A", "ok", 0.5, 0, 10)).toDF()
+    val high = Seq(KTup("A", "x1", 1.5, 0, 10)).toDF()
+    val low = Seq(KTup("A", "y1", -0.1, 3, 6)).toDF()
+    rejects("x1 has probability 1.5 outside [0, 1]")(
+      NegationJoin(high, ok, kTheta, TPJoinOp.LeftOuter).collect())
+    rejects("y1 has probability -0.1 outside [0, 1]")(
+      NegationJoin(ok, low, kTheta, TPJoinOp.LeftOuter).collect())
+  }
+
+  test("an r tuple with a null lineage is rejected with a clear error") {
+    rejects("null lineage")(NegationJoin(nullableDf(("A", null, Some(0.5), 0, 10)),
+      nullableDf(("A", "y1", Some(0.4), 3, 6)), NegationJoin.thetaEq("k"), TPJoinOp.LeftOuter).collect())
   }
 
   test("a right fact renamed onto a left fact's name is rejected before the query runs") {

@@ -1,5 +1,6 @@
 package repro.ta
 
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestUtil}
 import repro.TestUtil._
@@ -55,20 +56,50 @@ class TemporalAlignmentSpec extends SparkSpec {
 
   // ----------------------------------------------------------- normalize
 
+  private def linIntervals(df: DataFrame): Set[(String, Long, Long)] =
+    df.select("lin", "ts", "te").collect()
+      .map(x => (x.getString(0), x.getLong(1), x.getLong(2))).toSet
+
   test("normalize splits a by all matching b boundaries") {
-    val segs = TemporalAlignment.normalize(a, b, theta).collect()
-      .map(s => (s.lr, s.ts, s.te)).toSet
-    assert(segs == Set(
+    val segs = TemporalAlignment.normalize(a, b, theta)
+    assert(segs.columns.toSeq == a.columns.toSeq)
+    assert(linIntervals(segs) == Set(
       ("a1", 2L, 4L), ("a1", 4L, 5L), ("a1", 5L, 6L), ("a1", 6L, 8L),
       ("a2", 7L, 10L)))
+    // every boundary of a match changes the set of valid matches, so the
+    // segments are exactly NJ's U and N windows, on random relations too
+    (1 to 6).foreach { seed =>
+      val r = kDf(spark, randomRelation(seed, Seq("A", "B", "C"), 30, 3, "x"))
+      val s = kDf(spark, randomRelation(seed + 2000, Seq("A", "B", "C"), 30, 3, "y"))
+      val wins = NegationJoin.windowsFrom(NegationJoin.winitRows(r, s, kTheta), NegationJoin.Mode.UN)
+        .collect().map(w => (w.lr, w.ts, w.te)).toSet
+      assert(linIntervals(TemporalAlignment.normalize(r, s, kTheta)) == wins, s"normalize seed=$seed")
+    }
   }
 
   test("normalize with no matches returns the tuple unsplit") {
     import spark.implicits._
     val r = Seq(KTup("A", "x1", 0.5, 0, 10)).toDF()
     val s = Seq(KTup("B", "y1", 0.5, 2, 4)).toDF()
-    val segs = TemporalAlignment.normalize(r, s, kTheta).collect()
-    assert(segs.map(x => (x.ts, x.te)).toSet == Set((0L, 10L)))
+    assert(linIntervals(TemporalAlignment.normalize(r, s, kTheta)) == Set(("x1", 0L, 10L)))
+  }
+
+  // ---------------------------------------------------------- plan shape
+
+  test("plan shape: align and normalize plan one join each") {
+    assert(planShape(spark)(TemporalAlignment.align(a, b, theta))._1 == 1)
+    assert(planShape(spark)(TemporalAlignment.normalize(a, b, theta))._1 == 1)
+  }
+
+  test("plan shape: TA's joins and exchanges per op") {
+    // Joins: WO ∪ WU is two aligns plus their pairing join (3), WN ∪ WU a
+    // normalize plus its containment join (2). ▷ is WN ∪ WU; ⟕ and ⟖ are
+    // both subtrees; ⟗ adds the swapped WN ∪ WU.
+    val ops = Seq[(DataFrame, DataFrame, (String, String) => Column) => DataFrame](
+      TemporalAlignment.anti, TemporalAlignment.leftOuter,
+      TemporalAlignment.rightOuter, TemporalAlignment.fullOuter)
+    assert(ops.map(op => planShape(spark)(op(a, b, theta))) ==
+      Seq((2, 3), (5, 9), (5, 9), (7, 10)))
   }
 
   // ------------------------------------------------- equivalence with NJ
