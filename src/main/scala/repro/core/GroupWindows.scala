@@ -1,47 +1,33 @@
 package repro.core
 
-/** One row of `winit = r ⟕_{θ ∧ θo} s` (paper §VI-A, Fig. 5), typed.
-  *
-  * `fr`/`fs` are the facts packed as JSON strings, `lr`/`ls` the lineage
-  * strings, `pr`/`ps` the probabilities, `[rts, rte)` the interval of the
-  * generating `r` tuple and `[os, oe)` the overlap interval. The `s`-side
-  * fields are `None` for `r` tuples that matched nothing (the conventional
-  * outer join's null-padded rows).
+/** A matching inner tuple clipped to the outer tuple: its lineage,
+  * probability and the overlap `[os, oe)`, one overlapping window.
   */
-final case class XRow(
-    fr: String, lr: String, pr: Double, rts: Long, rte: Long,
-    fs: Option[String], ls: Option[String], ps: Option[Double],
-    os: Option[Long], oe: Option[Long])
+final case class Match(ls: String, ps: Double, os: Long, oe: Long)
 
-/** A matching `s` tuple clipped to the `r` tuple: one overlapping window. */
-final case class SMatch(fs: String, ls: String, ps: Double, os: Long, oe: Long)
-
-/** A generalized lineage-aware temporal window (paper Def. 1 / Table II).
-  *
-  * `kind` is `"U"` (unmatched), `"O"` (overlapping) or `"N"` (negating).
-  * For `O` windows `lsLins`/`lsProbs` hold the single matching `s` tuple;
-  * for `N` windows they hold every valid matching `s` tuple over `[ts, te)`
-  * (λs is their disjunction); for `U` windows they are empty.
+/** A generalized lineage-aware temporal window of one group (paper Def. 1 /
+  * Table II): its kind, `"U"` (unmatched), `"O"` (overlapping) or `"N"`
+  * (negating), its interval, and the positions of its matches in the
+  * group's match list. An O window holds its one match, an N window every
+  * valid match over `[ts, te)` (λs is their disjunction), a U window none.
   */
-final case class Win(
-    fr: String, fs: Option[String], lr: String, pr: Double,
-    lsLins: Seq[String], lsProbs: Seq[Double],
-    ts: Long, te: Long, kind: String)
+final case class Window(kind: String, ts: Long, te: Long, matches: Seq[Int])
 
 /** LAWA-U and LAWA-N in one boundary sweep per group (paper Alg. 1 & 2).
   *
-  * The group is a single `r` tuple together with all its winit match rows.
-  * Inputs are duplicate-free TP relations, so tuples of `r` with equal facts
-  * have disjoint intervals and groups never interact — which is what makes
-  * the sweep embarrassingly parallel across `r` tuples (one `flatMapGroups`
-  * partition-local pass in Spark). As in the paper, overlapping windows are
-  * taken verbatim from winit and the unmatched/negating windows are derived
-  * from them, with no further interval joins.
+  * The group is a single outer tuple together with its matches from the
+  * CLJ. Inputs are duplicate-free TP relations, so outer tuples with equal
+  * facts have disjoint intervals and groups never interact — which is what
+  * makes the sweep embarrassingly parallel across outer tuples (one kernel
+  * call per group of NJ's `groupBy`). As in the paper, overlapping windows
+  * are taken verbatim from the CLJ and the unmatched/negating windows are
+  * derived from them, with no further interval joins. No facts enter the
+  * kernel: a window names its matches by position.
   */
 object GroupWindows {
 
-  /** The windows of one `r` tuple over `[rts, rte)`, of the kinds `mode`
-    * emits, ordered by start.
+  /** The windows of one outer tuple `lr` over `[rts, rte)`, of the kinds
+    * `mode` emits, ordered by start.
     *
     * The matches are sorted once on `(os, oe, ls)` (paper: input sorted on
     * Os), their ends kept in a second order (LAWA-N's priority queue on Oe).
@@ -53,8 +39,8 @@ object GroupWindows {
     * order. Every boundary changes the valid set, so U and N windows are
     * maximal (TP change preservation).
     */
-  def windows(fr: String, lr: String, pr: Double, rts: Long, rte: Long,
-              matches: Seq[SMatch], mode: NegationJoin.Mode): Vector[Win] = {
+  def windows(lr: String, pr: Double, rts: Long, rte: Long,
+              matches: IndexedSeq[Match], mode: NegationJoin.Mode): Vector[Window] = {
     require(lr != null, s"an r tuple over [$rts, $rte) has a null lineage")
     require(rts < rte, s"r tuple $lr has the empty or inverted interval [$rts, $rte)")
     require(0 <= pr && pr <= 1, s"r tuple $lr has probability $pr outside [0, 1]")
@@ -64,40 +50,53 @@ object GroupWindows {
         s"match ${m.ls} over [${m.os}, ${m.oe}) is not a non-empty part of [$rts, $rte)")
       require(0 <= m.ps && m.ps <= 1, s"s tuple ${m.ls} has probability ${m.ps} outside [0, 1]")
     }
-    val byStart = matches.sortBy(m => (m.os, m.oe, m.ls)).toArray
-    val n = byStart.length
-    val byEnd = Array.range(0, n).sortBy(byStart(_).oe)
+    val n = matches.length
+    val byStart = Array.range(0, n).sortBy(k => (matches(k).os, matches(k).oe, matches(k).ls))
+    val byEnd = byStart.sortBy(matches(_).oe)
     // The active set holds the matches' ranks in (ls, index) order.
-    val byLin = Array.range(0, n).sortBy(i => (byStart(i).ls, i))
+    val byLin = byStart.sortBy(k => (matches(k).ls, k))
     val rank = new Array[Int](n)
-    byLin.indices.foreach(k => rank(byLin(k)) = k)
+    byLin.indices.foreach(x => rank(byLin(x)) = x)
     val active = new java.util.BitSet(n)
-    val out = Vector.newBuilder[Win]
+    val out = Vector.newBuilder[Window]
     var p = rts
     var i, j = 0
     while (p < rte) {
-      while (j < n && byStart(byEnd(j)).oe == p) { active.clear(rank(byEnd(j))); j += 1 }
-      while (i < n && byStart(i).os == p) {
-        val m = byStart(i)
-        active.set(rank(i))
-        if (mode.o) out += Win(fr, Some(m.fs), lr, pr, Seq(m.ls), Seq(m.ps), m.os, m.oe, "O")
+      while (j < n && matches(byEnd(j)).oe == p) { active.clear(rank(byEnd(j))); j += 1 }
+      while (i < n && matches(byStart(i)).os == p) {
+        val k = byStart(i)
+        active.set(rank(k))
+        if (mode.o) out += Window("O", p, matches(k).oe, Vector(k))
         i += 1
       }
-      val next = math.min(if (i < n) byStart(i).os else rte, if (j < n) byStart(byEnd(j)).oe else rte)
-      if (active.isEmpty) { if (mode.u) out += Win(fr, None, lr, pr, Nil, Nil, p, next, "U") }
-      else if (mode.n) {
-        val ms = active.stream.toArray.map(k => byStart(byLin(k)))
-        out += Win(fr, None, lr, pr, ms.map(_.ls).toVector, ms.map(_.ps).toVector, p, next, "N")
-      }
+      val next = math.min(if (i < n) matches(byStart(i)).os else rte,
+                          if (j < n) matches(byEnd(j)).oe else rte)
+      if (active.isEmpty) { if (mode.u) out += Window("U", p, next, Vector.empty) }
+      else if (mode.n) out += Window("N", p, next, active.stream.toArray.toVector.map(byLin(_)))
       p = next
     }
     out.result()
   }
 
-  /** All windows of one group: WU ∪ WO ∪ WN (paper Alg. 3's per-group work). */
+  // ------------------------------------------- layer views for perfbench
+
+  // perfbench compiles against this per-group API of JSON-packed facts and
+  // is frozen; nothing NJ or the figure harness runs calls it.
+
+  /** All windows of one group as [[Win]]s: WU ∪ WO ∪ WN. */
   def all(fr: String, lr: String, pr: Double, rts: Long, rte: Long,
           matches: Seq[SMatch]): Vector[Win] =
-    windows(fr, lr, pr, rts, rte, matches, NegationJoin.Mode.All)
+    wins(fr, lr, pr, rts, rte, matches, NegationJoin.Mode.All)
+
+  /** The windows of one group of the kinds `mode` emits, as [[Win]]s. */
+  def wins(fr: String, lr: String, pr: Double, rts: Long, rte: Long,
+           matches: Seq[SMatch], mode: NegationJoin.Mode): Vector[Win] = {
+    val ms = matches.toIndexedSeq
+    windows(lr, pr, rts, rte, ms.map(m => Match(m.ls, m.ps, m.os, m.oe)), mode).map { w =>
+      val fs = if (w.kind == "O") Some(ms(w.matches.head).fs) else None
+      Win(fr, fs, lr, pr, w.matches.map(ms(_).ls), w.matches.map(ms(_).ps), w.ts, w.te, w.kind)
+    }
+  }
 
   /** One `r` tuple's winit rows as its (possibly empty) match list; null-
     * padded rows (no `s` partner) contribute no match. A matching `s` tuple
@@ -112,3 +111,23 @@ object GroupWindows {
       }
     }
 }
+
+/** One row of `winit = r ⟕_{θ ∧ θo} s` with the facts packed as JSON (a
+  * perfbench view of [[NegationJoin.clj]]). The `s`-side fields are `None`
+  * for `r` tuples that matched nothing.
+  */
+final case class XRow(
+    fr: String, lr: String, pr: Double, rts: Long, rte: Long,
+    fs: Option[String], ls: Option[String], ps: Option[Double],
+    os: Option[Long], oe: Option[Long])
+
+/** A [[Match]] with its `s` facts packed as JSON. */
+final case class SMatch(fs: String, ls: String, ps: Double, os: Long, oe: Long)
+
+/** A [[Window]] with the group's facts (JSON) and its matches' lineages and
+  * probabilities spelled out.
+  */
+final case class Win(
+    fr: String, fs: Option[String], lr: String, pr: Double,
+    lsLins: Seq[String], lsProbs: Seq[Double],
+    ts: Long, te: Long, kind: String)

@@ -17,10 +17,9 @@ object TPJoinOp {
   case object FullOuter extends TPJoinOp
 }
 
-/** A finalized output tuple before fact unpacking.
-  *
-  * `rfJson`/`sfJson` are the fact structs of the user-facing left/right
-  * input, packed as JSON (None where the paper writes `-`/null facts).
+/** A finalized window with the facts of the user-facing left/right input
+  * packed as JSON (None where the paper writes `-`/null facts): the row
+  * format of TA's output and of NJ's perfbench views.
   */
 final case class OutRow(
     rfJson: Option[String], sfJson: Option[String],
@@ -33,19 +32,25 @@ final case class OutRow(
   * tuple identifier), `p` (probability), `ts`, `te` (half-open interval).
   *
   * Plan shape, mirroring paper Fig. 10a. One pass, with an outer and an
-  * inner relation, is:
+  * inner relation, is one DataFrame pipeline:
   *
-  *  1. `winit` — ONE conventional Catalyst left outer join
+  *  1. [[clj]] — ONE conventional Catalyst left outer join
   *     `outer ⟕_{θ ∧ θo} inner` with `θo : outer.ts < inner.te ∧
   *     inner.ts < outer.te` (the CLJ node; Catalyst picks the physical join,
   *     as PostgreSQL's optimizer does in the paper).
-  *  2. `groupByKey` on the generating outer tuple + `flatMapGroups` running
-  *     [[GroupWindows.windows]] partition-locally: one boundary sweep per
-  *     group yields the W_uo and W_n nodes' windows together. It emits only
-  *     the window kinds the op outputs ([[Mode]]). No tuple replication, no
-  *     further interval joins, no duplicate-eliminating union.
-  *  3. Per-window-set lineage concatenation turns windows into output
-  *     tuples (`λr`, `λr∧λs`, `λr∧¬λs`).
+  *  2. [[windows]] — `groupBy` every outer column and `collect_list` the
+  *     matches; one kernel UDF per group runs [[GroupWindows.windows]] (one
+  *     boundary sweep yields the W_uo and W_n nodes' windows together, of
+  *     the kinds the op outputs, [[Mode]]) and finalizes each window's
+  *     lineage (`λr`, `λr∧λs`, `λr∧¬λs`) and probability; `explode` gives one
+  *     row per window. The grouping keys include θ's equality keys, so the
+  *     CLJ's hash partitioning already clusters each group: the sweep adds
+  *     no exchange. No tuple replication, no further interval joins, no
+  *     duplicate-eliminating union.
+  *  3. One `select` names the output columns.
+  *
+  * Facts stay typed columns throughout: the inner tuple's facts ride in the
+  * collected structs and are read back by the O window's match position.
   *
   * ▷ and ⟕ are one (r;s) pass. ⟖ is one sides-swapped (s;r) pass: a
   * mirrored ⟕. ⟗ is the ⟕ pass plus a second, sides-swapped ▷ pass, as
@@ -67,45 +72,17 @@ object NegationJoin {
   /** The reserved TP meta columns; everything else is a fact attribute. */
   val MetaCols: Seq[String] = Seq("lin", "p", "ts", "te")
 
+  /** The columns a pass adds next to the outer relation's own; an outer fact
+    * column may not take one of these names.
+    */
+  val InternalCols: Seq[String] = Seq("_m", "_ms", "_w", "_f", "_kind")
+
   def factCols(df: DataFrame): Seq[String] =
     df.columns.toSeq.filterNot(MetaCols.contains)
 
   /** Equality θ on identically-named fact columns of both inputs. */
   def thetaEq(cols: String*): (String, String) => Column =
     (l, r) => cols.map(c => col(s"$l.$c") === col(s"$r.$c")).reduce(_ && _)
-
-  /** Step 1: the conventional left outer join `winit` (paper §VI-A, Fig. 5).
-    *
-    * `swap=true` runs the pass with `s` as the outer relation (for the
-    * second NegationJoins invocation of Alg. 3); θ argument order is fixed
-    * to (original left alias, original right alias) either way.
-    */
-  def winitRows(r: DataFrame, s: DataFrame, theta: (String, String) => Column,
-                swap: Boolean = false): Dataset[XRow] = {
-    val (outer, inner) = if (swap) (s, r) else (r, s)
-    val spark = outer.sparkSession
-    import spark.implicits._
-    val of = factCols(outer)
-    val inf = factCols(inner)
-    val lhs = outer.as("_l")
-    val rhs = inner.as("_r")
-    val thetaCol = if (swap) theta("_r", "_l") else theta("_l", "_r")
-    val overlap = col("_l.ts") < col("_r.te") && col("_r.ts") < col("_l.te")
-    // θo needs a non-null `_r.ts`; a match with a null lin or p is the sweep's to reject
-    val matched = col("_r.ts").isNotNull
-    lhs.join(rhs, thetaCol && overlap, "left_outer").select(
-      to_json(struct(of.map(c => col(s"_l.$c").as(c)): _*)).as("fr"),
-      col("_l.lin").as("lr"),
-      col("_l.p").as("pr"),
-      col("_l.ts").as("rts"),
-      col("_l.te").as("rte"),
-      when(matched, to_json(struct(inf.map(c => col(s"_r.$c").as(c)): _*))).as("fs"),
-      col("_r.lin").as("ls"),
-      col("_r.p").as("ps"),
-      when(matched, greatest(col("_l.ts"), col("_r.ts"))).cast(LongType).as("os"),
-      when(matched, least(col("_l.te"), col("_r.te"))).cast(LongType).as("oe"),
-    ).as[XRow]
-  }
 
   /** The window sets one sweep pass builds, as the kinds it emits. */
   sealed abstract class Mode(val u: Boolean, val o: Boolean, val n: Boolean)
@@ -116,25 +93,92 @@ object NegationJoin {
     case object All extends Mode(u = true, o = true, n = true)
   }
 
-  /** Step 2: group winit by generating outer tuple and sweep (LAWA-U/N). */
-  def windowsFrom(x: Dataset[XRow], mode: Mode): Dataset[Win] = {
-    val spark = x.sparkSession
-    import spark.implicits._
-    x.groupByKey(row => (row.fr, row.lr, row.rts, row.rte))
-      .flatMapGroups { (key, it) =>
-        val (fr, lr, rts, rte) = key
-        val rows = it.toVector
-        GroupWindows.windows(fr, lr, rows.head.pr, rts, rte, GroupWindows.toMatches(rows), mode).iterator
-      }
+  /** `name` as the session compares column names. */
+  private def nameKey(df: DataFrame)(name: String): String =
+    if (df.sparkSession.conf.get("spark.sql.caseSensitive").toBoolean) name
+    else name.toLowerCase(java.util.Locale.ROOT)
+
+  /** Step 1: the conventional left outer join `winit` (paper §VI-A, Fig. 5).
+    *
+    * Returns the outer tuple's columns under their own names plus one
+    * struct `_m = (ls, ps, os, oe, f)`: the inner tuple's lineage and
+    * probability, the overlap `[os, oe)` and its facts `f`. `_m` is null for
+    * an outer tuple that matched nothing. `swap=true` runs the pass with `s`
+    * as the outer relation (for the second NegationJoins invocation of
+    * Alg. 3); θ argument order is fixed to (original left alias, original
+    * right alias) either way.
+    */
+  def clj(r: DataFrame, s: DataFrame, theta: (String, String) => Column,
+          swap: Boolean = false): DataFrame = {
+    val (outer, inner) = if (swap) (s, r) else (r, s)
+    val key = nameKey(outer) _
+    factCols(outer).find(c => InternalCols.exists(key(_) == key(c))).foreach { c =>
+      throw new IllegalArgumentException(
+        s"fact column '$c' of ${if (swap) "s" else "r"} is named like an internal column of NJ " +
+          s"(${InternalCols.mkString(", ")}); rename it")
+    }
+    val thetaCol = if (swap) theta("_r", "_l") else theta("_l", "_r")
+    val overlap = col("_l.ts") < col("_r.te") && col("_r.ts") < col("_l.te")
+    // θo needs a non-null `_r.ts`; a match with a null lin or p is the kernel's to reject
+    val m = struct(
+      col("_r.lin").as("ls"), col("_r.p").as("ps"),
+      greatest(col("_l.ts"), col("_r.ts")).cast(LongType).as("os"),
+      least(col("_l.te"), col("_r.te")).cast(LongType).as("oe"),
+      struct(factCols(inner).map(c => col(s"_r.$c").as(c)): _*).as("f"))
+    outer.as("_l").join(inner.as("_r"), thetaCol && overlap, "left_outer")
+      .select(outer.columns.toSeq.map(c => col(s"_l.$c").as(c)) :+
+        when(col("_r.ts").isNotNull, m).as("_m"): _*)
   }
 
-  // ------------------------------------------------------------- finalize
+  /** One kernel output row: the O window's match position (-1 for U and N
+    * windows), the window's kind, finalized lineage and probability, and
+    * interval. Public: the UDF result serializer Spark generates cannot call
+    * a private class's accessors and falls back to interpreted mode.
+    */
+  final case class KernelRow(i: Int, kind: String, lin: String, p: Double, ts: Long, te: Long)
 
-  /** Step 3: lineage concatenation per window set (paper §V, Alg. 3 l.10-17).
+  /** Step 2: sweep each outer tuple's matches (LAWA-U/N) and finalize.
+    *
+    * Returns one row per window: the outer tuple's facts under their own
+    * names, the O window's match facts `_f` (null for U and N windows), the
+    * window's `_kind` and its `lin`, `p`, `ts` and `te`. A null `p`, `ts` or
+    * `te` on an outer tuple is rejected, naming the tuple.
+    */
+  def windows(clj: DataFrame, mode: Mode, windowSideIsLeft: Boolean): DataFrame = {
+    val outerCols = clj.columns.toSeq.filterNot(_ == "_m")
+    val facts = outerCols.filterNot(MetaCols.contains).map(col)
+    // Boxed meta columns: a Scala UDF skips a null primitive argument, and
+    // explode(null) would then drop the tuple silently.
+    val kernel = udf { (lr: String, pr: java.lang.Double, rts: java.lang.Long, rte: java.lang.Long,
+                        ls: Seq[String], ps: Seq[java.lang.Double], os: Seq[Long], oe: Seq[Long]) =>
+      Seq(("p", pr), ("ts", rts), ("te", rte)).foreach { case (c, v) =>
+        require(v != null, s"tuple $lr has a null $c")
+      }
+      val ms = ls.indices.map { k =>
+        require(ls(k) != null && ps(k) != null,
+          s"an s tuple matching r tuple $lr over [${os(k)}, ${oe(k)}) has a null lin or p")
+        Match(ls(k), ps(k), os(k), oe(k))
+      }
+      GroupWindows.windows(lr, pr, rts, rte, ms, mode).map { w =>
+        val (lin, p) = finalizeWindow(w.kind, lr, pr, w.matches.map(ms(_).ls), w.matches.map(ms(_).ps),
+          windowSideIsLeft)
+        KernelRow(if (w.kind == "O") w.matches.head else -1, w.kind, lin, p, w.ts, w.te)
+      }
+    }
+    val w = kernel(col("lin"), col("p"), col("ts"), col("te"),
+      col("_ms.ls"), col("_ms.ps"), col("_ms.os"), col("_ms.oe"))
+    clj.groupBy(outerCols.map(col): _*).agg(collect_list(col("_m")).as("_ms"))
+      .select(facts ++ Seq(col("_ms"), explode(w).as("_w")): _*)
+      .select(facts ++ Seq(
+        when(col("_w.i") >= 0, col("_ms")(col("_w.i")).getField("f")).as("_f"), col("_w.kind").as("_kind"),
+        col("_w.lin").as("lin"), col("_w.p").as("p"), col("_w.ts").as("ts"), col("_w.te").as("te")): _*)
+  }
+
+  /** Step 3's lineage concatenation per window set (paper §V, Alg. 3
+    * l.10-17): a window's output lineage and probability.
     *
     * `windowSideIsLeft` states whether the window pass used the user-facing
-    * left table as its outer relation. It decides on which side of the
-    * output the window's facts land, and orders the ∧ operands of an O
+    * left table as its outer relation. It orders the ∧ operands of an O
     * window by output side: `λr∧λs` from either pass. U and N windows keep
     * the outer tuple's lineage first (`λs∧¬λr` in a swapped pass).
     *
@@ -143,55 +187,38 @@ object NegationJoin {
     * and rendered only for derived lineage. Their probabilities come from
     * [[Lineage.probAnd]] and [[Lineage.probAndNotOr]].
     */
-  def windowToOut(w: Win, windowSideIsLeft: Boolean): OutRow = {
-    val (lin, p) = w.kind match {
-      case "U" => (w.lr, w.pr)
-      case "O" =>
-        val l =
-          if (windowSideIsLeft) Lineage.renderAnd(w.lr, w.lsLins.head)
-          else Lineage.renderAnd(w.lsLins.head, w.lr)
-        (l, Lineage.probAnd(w.lr, w.pr, w.lsLins.head, w.lsProbs.head))
-      case "N" =>
-        (Lineage.renderAndNotOr(w.lr, w.lsLins), Lineage.probAndNotOr(w.lr, w.pr, w.lsLins, w.lsProbs))
-    }
-    if (windowSideIsLeft) OutRow(Some(w.fr), w.fs, lin, p, w.ts, w.te)
-    else OutRow(w.fs, Some(w.fr), lin, p, w.ts, w.te)
+  def finalizeWindow(kind: String, lr: String, pr: Double, ls: Seq[String], ps: Seq[Double],
+                     windowSideIsLeft: Boolean): (String, Double) = kind match {
+    case "U" => (lr, pr)
+    case "O" =>
+      val l = if (windowSideIsLeft) Lineage.renderAnd(lr, ls.head) else Lineage.renderAnd(ls.head, lr)
+      (l, Lineage.probAnd(lr, pr, ls.head, ps.head))
+    case "N" => (Lineage.renderAndNotOr(lr, ls), Lineage.probAndNotOr(lr, pr, ls, ps))
   }
 
-  /** Unpack OutRows into the user-facing schema.
+  /** Step 3: the user-facing columns of a join's windows.
     *
     * Left fact columns keep their names; right fact columns are prefixed
     * with `s_` when they would clash with a left fact column or a meta
     * column. Anti joins emit no right fact columns (paper: "Fr is the only
-    * fact included"). An output name that would still appear twice (`s`'s
-    * `k` renamed to `s_k` next to a fact column already named `s_k`), under
-    * the session's case sensitivity, is rejected here, before the query
-    * runs.
+    * fact included"). `left(c)`/`right(c)` read fact `c` of `r`/`s` from
+    * `df`. An output name that would still appear twice (`s`'s `k` renamed
+    * to `s_k` next to a fact column already named `s_k`), under the
+    * session's case sensitivity, is rejected here, before the query runs.
     */
-  def unpack(out: Dataset[OutRow], r: DataFrame, s: DataFrame, anti: Boolean): DataFrame = {
+  def output(df: DataFrame, r: DataFrame, s: DataFrame, anti: Boolean)(
+      left: String => Column, right: String => Column): DataFrame = {
     val rf = factCols(r)
-    val sf = factCols(s)
-    val rSchema = r.select(rf.map(col): _*).schema
-    val sSchema = s.select(sf.map(col): _*).schema
+    val sf = if (anti) Nil else factCols(s)
     def sName(c: String) = if (rf.contains(c) || MetaCols.contains(c)) s"s_$c" else c
-    val caseSensitive = out.sparkSession.conf.get("spark.sql.caseSensitive").toBoolean
-    def key(name: String) = if (caseSensitive) name else name.toLowerCase(java.util.Locale.ROOT)
-    val sources = rf.map(c => c -> s"r.$c") ++
-      (if (anti) Nil else sf.map(c => sName(c) -> s"s.$c")) ++
+    val sources = rf.map(c => c -> s"r.$c") ++ sf.map(c => sName(c) -> s"s.$c") ++
       MetaCols.map(c => c -> s"meta column $c")
-    sources.groupBy(nc => key(nc._1)).values.find(_.size > 1).foreach { clash =>
+    sources.groupBy(nc => nameKey(r)(nc._1)).values.find(_.size > 1).foreach { clash =>
       throw new IllegalArgumentException(
         s"output column '${clash.head._1}' would come from ${clash.map(_._2).mkString(" and ")}; " +
           "rename a fact column of r or s")
     }
-    val withStructs = out.toDF()
-      .withColumn("_rf", from_json(col("rfJson"), rSchema))
-      .withColumn("_sf", from_json(col("sfJson"), sSchema))
-    val cols =
-      rf.map(c => col(s"_rf.$c").as(c)) ++
-        (if (anti) Nil else sf.map(c => col(s"_sf.$c").as(sName(c)))) ++
-        Seq(col("lin"), col("p"), col("ts"), col("te"))
-    withStructs.select(cols: _*)
+    df.select(rf.map(c => left(c).as(c)) ++ sf.map(c => right(c).as(sName(c))) ++ MetaCols.map(col): _*)
   }
 
   // ------------------------------------------------------------- joins
@@ -199,24 +226,70 @@ object NegationJoin {
   /** NegationJoins(r, s, θ, op) — paper Alg. 3.
     *
     * Every op is at most two passes of one kind: a CLJ, a sweep building
-    * only the window sets the op outputs, and finalization. WO(r;s) and
-    * WO(s;r) are the same pairwise intersections, so `r ⟖ s` is `s ⟕ r`
-    * with its output sides swapped.
+    * and finalizing only the window sets the op outputs, and the output
+    * select. WO(r;s) and WO(s;r) are the same pairwise intersections, so
+    * `r ⟖ s` is `s ⟕ r` with its output sides swapped.
     */
   def apply(r: DataFrame, s: DataFrame, theta: (String, String) => Column,
             op: TPJoinOp): DataFrame = {
-    val spark = r.sparkSession
-    import spark.implicits._
-    def pass(swap: Boolean, mode: Mode): Dataset[OutRow] =
-      windowsFrom(winitRows(r, s, theta, swap), mode)
-        .map(w => windowToOut(w, windowSideIsLeft = !swap))
-    val out = op match {
+    val anti = op == TPJoinOp.Anti
+    def pass(swap: Boolean, mode: Mode): DataFrame = {
+      val w = windows(clj(r, s, theta, swap), mode, windowSideIsLeft = !swap)
+      val (outerFact, innerFact) = (col _, (c: String) => col(s"_f.$c"))
+      if (swap) output(w, r, s, anti)(innerFact, outerFact)
+      else output(w, r, s, anti)(outerFact, innerFact)
+    }
+    op match {
       case TPJoinOp.Anti       => pass(swap = false, Mode.UN)
       case TPJoinOp.LeftOuter  => pass(swap = false, Mode.All)
       case TPJoinOp.RightOuter => pass(swap = true, Mode.All)
       // Alg. 3 line 18: r ⟕ s plus NegationJoins(s, r, θ, ▷).
       case TPJoinOp.FullOuter  => pass(swap = false, Mode.All).union(pass(swap = true, Mode.UN))
     }
-    unpack(out, r, s, anti = op == TPJoinOp.Anti)
+  }
+
+  // ------------------------------------------- layer views for perfbench
+
+  // perfbench compiles against this typed, JSON-packed layer API and is
+  // frozen; nothing `apply` or the figure harness runs calls these views.
+  // `unpack` is also TA's output step.
+
+  /** [[clj]] with the facts packed as JSON, as typed [[XRow]]s. */
+  def winitRows(r: DataFrame, s: DataFrame, theta: (String, String) => Column,
+                swap: Boolean = false): Dataset[XRow] = {
+    val spark = r.sparkSession
+    import spark.implicits._
+    clj(r, s, theta, swap).select(
+      to_json(struct(factCols(if (swap) s else r).map(col): _*)).as("fr"),
+      col("lin").as("lr"), col("p").as("pr"), col("ts").as("rts"), col("te").as("rte"),
+      to_json(col("_m.f")).as("fs"), col("_m.ls").as("ls"), col("_m.ps").as("ps"),
+      col("_m.os").as("os"), col("_m.oe").as("oe")).as[XRow]
+  }
+
+  /** The windows of each outer tuple's [[XRow]]s, typed. */
+  def windowsFrom(x: Dataset[XRow], mode: Mode): Dataset[Win] = {
+    val spark = x.sparkSession
+    import spark.implicits._
+    x.groupByKey(row => (row.fr, row.lr, row.rts, row.rte)).flatMapGroups { (_, it) =>
+      val rows = it.toVector
+      val h = rows.head
+      GroupWindows.wins(h.fr, h.lr, h.pr, h.rts, h.rte, GroupWindows.toMatches(rows), mode)
+    }
+  }
+
+  /** A [[Win]] finalized by [[finalizeWindow]], facts on their output side. */
+  def windowToOut(w: Win, windowSideIsLeft: Boolean): OutRow = {
+    val (lin, p) = finalizeWindow(w.kind, w.lr, w.pr, w.lsLins, w.lsProbs, windowSideIsLeft)
+    if (windowSideIsLeft) OutRow(Some(w.fr), w.fs, lin, p, w.ts, w.te)
+    else OutRow(w.fs, Some(w.fr), lin, p, w.ts, w.te)
+  }
+
+  /** [[OutRow]]s in the user-facing schema: `from_json`, then [[output]]. */
+  def unpack(out: Dataset[OutRow], r: DataFrame, s: DataFrame, anti: Boolean): DataFrame = {
+    def schema(df: DataFrame) = df.select(factCols(df).map(col): _*).schema
+    val structs = out.toDF()
+      .withColumn("_rf", from_json(col("rfJson"), schema(r)))
+      .withColumn("_sf", from_json(col("sfJson"), schema(s)))
+    output(structs, r, s, anti)(c => col(s"_rf.$c"), c => col(s"_sf.$c"))
   }
 }

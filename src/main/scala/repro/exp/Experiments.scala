@@ -4,7 +4,7 @@ import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
 import repro.core._
-import repro.core.NegationJoin.{Mode, windowsFrom, winitRows}
+import repro.core.NegationJoin.{Mode, clj, windows}
 import repro.data.TPData
 import repro.ta.TemporalAlignment
 import repro.util.Bench
@@ -19,7 +19,7 @@ import repro.util.Bench
   * of its table. Inputs are cached and materialized before timing, and every
   * timed query runs to completion into Spark's `noop` sink
   * ([[Bench.noopMedianMs]]), so measured times cover join + sweep +
-  * finalization + fact unpacking, not data generation. The NJ ≡ TA
+  * finalization + the output columns, not data generation. The NJ ≡ TA
   * cardinality checks run as separate, untimed counts.
   *
   * Workloads (DESIGN.md §4): `webkit` joins webkitLite with its shifted
@@ -90,7 +90,7 @@ object Experiments {
   def fig11(spark: SparkSession, sizes: Map[String, Seq[Long]],
             reps: Int = 3, warmup: Int = 1): Seq[Seq[Any]] =
     perWorkload(spark, sizes) { w =>
-      def nj = windowsFrom(winitRows(w.r, w.s, w.theta), Mode.UO)
+      def nj = windows(clj(w.r, w.s, w.theta), Mode.UO, windowSideIsLeft = true)
       def ta = TemporalAlignment.windowsUO(w.r, w.s, w.theta)
       val njMs = Bench.noopMedianMs(reps, warmup)(nj)
       val taMs = Bench.noopMedianMs(reps, warmup)(ta)
@@ -101,8 +101,8 @@ object Experiments {
 
   // --------------------------------------- Fig. 12: negating-window runtime
 
-  /** NJ-WN (sweep + [[NegationJoin.windowToOut]] on cached winit: it values
-    * N rows' lineage as TA does), NJ-WUON (incl. winit+UO), TA N-subtree.
+  /** NJ-WN ([[NegationJoin.windows]] on a cached CLJ: it values N rows'
+    * lineage as TA does), NJ-WUON (incl. CLJ+UO), TA N-subtree.
     *
     * The winit cache exists ONLY while NJ-WN is timed and counted (and is
     * dropped before the other measurements): Spark's cache manager
@@ -114,16 +114,15 @@ object Experiments {
             reps: Int = 3, warmup: Int = 1): Seq[Seq[Any]] =
     perWorkload(spark, sizes) { w =>
       def ta = TemporalAlignment.windowsNU(w.r, w.s, w.theta)
-      val winit = winitRows(w.r, w.s, w.theta).persist(StorageLevel.MEMORY_AND_DISK)
+      val winit = clj(w.r, w.s, w.theta).persist(StorageLevel.MEMORY_AND_DISK)
       winit.count()
-      import spark.implicits._
-      val wnMs = Bench.noopMedianMs(reps, warmup)(
-        windowsFrom(winit, Mode.N).map(NegationJoin.windowToOut(_, windowSideIsLeft = true)))
-      val njN = windowsFrom(winit, Mode.N).count()
+      val wnMs = Bench.noopMedianMs(reps, warmup)(windows(winit, Mode.N, windowSideIsLeft = true))
+      val njN = windows(winit, Mode.N, windowSideIsLeft = true).count()
       // TA's N subtree is exactly WU ∪ WN.
-      val njUN = windowsFrom(winit, Mode.UN).count()
+      val njUN = windows(winit, Mode.UN, windowSideIsLeft = true).count()
       winit.unpersist(blocking = true)
-      val wuonMs = Bench.noopMedianMs(reps, warmup)(windowsFrom(winitRows(w.r, w.s, w.theta), Mode.All))
+      val wuonMs = Bench.noopMedianMs(reps, warmup)(
+        windows(clj(w.r, w.s, w.theta), Mode.All, windowSideIsLeft = true))
       val taMs = Bench.noopMedianMs(reps, warmup)(ta)
       val taNU = ta.count()
       require(taNU == njUN, s"W_UN mismatch: TA=$taNU NJ=$njUN (${w.dataset} n=${w.n})")
@@ -148,19 +147,20 @@ object Experiments {
   // --------------------------------------- Fig. 14: NJ runtime breakdown
 
   /** Percentage of the NJ left-outer runtime spent in the CLJ node, the
-    * W_uo sweep and the W_n sweep + finalization + unpacking (paper Fig. 14),
-    * as differences of three separately run queries.
+    * W_uo windows (sweep + finalization) and the W_n windows + the output
+    * select (paper Fig. 14), as differences of three separately run queries.
     */
   def fig14(spark: SparkSession, sizes: Map[String, Seq[Long]],
             reps: Int = 3, warmup: Int = 1): Seq[Seq[Any]] =
     perWorkload(spark, sizes) { w =>
-      val cljMs = Bench.noopMedianMs(reps, warmup)(winitRows(w.r, w.s, w.theta))
-      val wuoMs = Bench.noopMedianMs(reps, warmup)(windowsFrom(winitRows(w.r, w.s, w.theta), Mode.UO))
+      val cljMs = Bench.noopMedianMs(reps, warmup)(clj(w.r, w.s, w.theta))
+      val wuoMs = Bench.noopMedianMs(reps, warmup)(
+        windows(clj(w.r, w.s, w.theta), Mode.UO, windowSideIsLeft = true))
       val njMs = Bench.noopMedianMs(reps, warmup)(NegationJoin(w.r, w.s, w.theta, TPJoinOp.LeftOuter))
-      val clj = 100.0 * cljMs / njMs
+      val cljPct = 100.0 * cljMs / njMs
       val wuo = 100.0 * math.max(0.0, wuoMs - cljMs) / njMs
       val wn = 100.0 * math.max(0.0, njMs - wuoMs) / njMs
-      Seq[Any](w.dataset, w.n, njMs, f"$clj%.0f%%", f"$wuo%.0f%%", f"$wn%.0f%%")
+      Seq[Any](w.dataset, w.n, njMs, f"$cljPct%.0f%%", f"$wuo%.0f%%", f"$wn%.0f%%")
     }
 
   // --------------------------------------------- Fig. 15: NJ scalability

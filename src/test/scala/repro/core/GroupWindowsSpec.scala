@@ -5,28 +5,33 @@ import scala.util.Random
 
 /** Unit tests for the pure per-group window kernel (LAWA-U / LAWA-N in
   * one sweep), including a brute-force cross-check against the Table II
-  * definitions.
+  * definitions, and for the kernel's perfbench views.
   */
 class GroupWindowsSpec extends AnyFunSuite {
 
-  private def m(ls: String, os: Long, oe: Long, fs: String = "F", ps: Double = 0.5) =
-    SMatch(fs, ls, ps, os, oe)
+  private def m(ls: String, os: Long, oe: Long, ps: Double = 0.5) = Match(ls, ps, os, oe)
+
+  /** A kernel window with its matches' lineages and probabilities spelled out. */
+  private case class W(kind: String, ts: Long, te: Long, lsLins: Seq[String], lsProbs: Seq[Double])
+
+  private def windows(ts: Long, te: Long, ms: Seq[Match], mode: NegationJoin.Mode): Vector[W] =
+    GroupWindows.windows("r1", 0.5, ts, te, ms.toIndexedSeq, mode).map(w =>
+      W(w.kind, w.ts, w.te, w.matches.map(ms(_).ls), w.matches.map(ms(_).ps)))
 
   private val modes = {
     import NegationJoin.Mode._
     Seq(UO, N, UN, All)
   }
 
-  private def uo(ts: Long, te: Long, ms: SMatch*) =
-    GroupWindows.windows("R", "r1", 0.5, ts, te, ms, NegationJoin.Mode.UO)
-  private def neg(ms: SMatch*) = {
+  private def uo(ts: Long, te: Long, ms: Match*) = windows(ts, te, ms, NegationJoin.Mode.UO)
+  private def neg(ms: Match*) = {
     val (ts, te) = if (ms.isEmpty) (0L, 1L) else (ms.map(_.os).min, ms.map(_.oe).max)
-    GroupWindows.windows("R", "r1", 0.5, ts, te, ms, NegationJoin.Mode.N)
+    windows(ts, te, ms, NegationJoin.Mode.N)
   }
 
-  private def uiv(ws: Seq[Win]) = ws.filter(_.kind == "U").map(w => (w.ts, w.te))
-  private def oiv(ws: Seq[Win]) = ws.filter(_.kind == "O").map(w => (w.lsLins.head, w.ts, w.te))
-  private def niv(ws: Seq[Win]) = ws.map(w => (w.lsLins.mkString("|"), w.ts, w.te))
+  private def uiv(ws: Seq[W]) = ws.filter(_.kind == "U").map(w => (w.ts, w.te))
+  private def oiv(ws: Seq[W]) = ws.filter(_.kind == "O").map(w => (w.lsLins.head, w.ts, w.te))
+  private def niv(ws: Seq[W]) = ws.map(w => (w.lsLins.mkString("|"), w.ts, w.te))
 
   // --------------------------------------------------------------- LAWA-U
 
@@ -86,7 +91,8 @@ class GroupWindowsSpec extends AnyFunSuite {
   }
 
   test("uo carries the group's fact, lineage and probability") {
-    val ws = uo(0, 4, m("y", 1, 2))
+    // the kernel carries no facts; its perfbench view all() spells them out
+    val ws = GroupWindows.all("R", "r1", 0.5, 0, 4, Seq(SMatch("F", "y", 0.5, 1, 2)))
     assert(ws.forall(w => w.fr == "R" && w.lr == "r1" && w.pr == 0.5))
     assert(ws.filter(_.kind == "O").forall(_.fs.contains("F")))
     assert(ws.filter(_.kind == "U").forall(_.fs.isEmpty))
@@ -151,7 +157,7 @@ class GroupWindowsSpec extends AnyFunSuite {
 
   test("un yields the two gaps around the matches as U windows") {
     val ms = Seq(m("y1", 2, 5), m("y2", 4, 9))
-    val un = GroupWindows.windows("R", "r1", 0.5, 0, 12, ms, NegationJoin.Mode.UN)
+    val un = windows(0, 12, ms, NegationJoin.Mode.UN)
     assert(uiv(un) == Vector((0L, 2L), (9L, 12L)))
     assert(un.count(_.kind == "U") == 2 && un.forall(_.kind != "O"))
   }
@@ -159,7 +165,7 @@ class GroupWindowsSpec extends AnyFunSuite {
   test("a match outside the r tuple's interval is rejected, not swept") {
     for ((os, oe) <- Seq((1L, 4L), (3L, 11L), (4L, 4L)); mode <- modes) {
       val e = intercept[IllegalArgumentException](
-        GroupWindows.windows("R", "r1", 0.5, 2, 10, Seq(m("y", os, oe)), mode))
+        windows(2, 10, Seq(m("y", os, oe)), mode))
       assert(e.getMessage.contains("[2, 10)"), e.getMessage)
     }
   }
@@ -176,7 +182,7 @@ class GroupWindowsSpec extends AnyFunSuite {
   private val seeds = 1 to 25
 
   /** A random r tuple `[rts, rte)` with up to five matches inside it. */
-  private def randomGroup(seed: Int): (Long, Long, Seq[SMatch]) = {
+  private def randomGroup(seed: Int): (Long, Long, Seq[Match]) = {
     val rnd = new Random(seed)
     val rts = rnd.nextInt(5).toLong
     val rte = rts + 3 + rnd.nextInt(15)
@@ -192,7 +198,7 @@ class GroupWindowsSpec extends AnyFunSuite {
   /** Table II evaluated literally per time point, for one r tuple. */
   private def bruteCheck(seed: Int): Unit = {
     val (rts, rte, ms) = randomGroup(seed)
-    val wins = GroupWindows.all("R", "r1", 0.5, rts, rte, ms)
+    val wins = windows(rts, rte, ms, NegationJoin.Mode.All)
     // per-point valid set from the definition
     def validAt(t: Long) = ms.filter(mm => mm.os <= t && t < mm.oe).map(_.ls).sorted
     (rts until rte).foreach { t =>
@@ -226,9 +232,12 @@ class GroupWindowsSpec extends AnyFunSuite {
     for (seed <- seeds; mode <- modes) {
       val (rts, rte, ms) = randomGroup(seed)
       val kinds = Seq("U" -> mode.u, "O" -> mode.o, "N" -> mode.n).collect { case (k, true) => k }
-      assert(GroupWindows.windows("R", "r1", 0.5, rts, rte, ms, mode) ==
-        GroupWindows.all("R", "r1", 0.5, rts, rte, ms).filter(w => kinds.contains(w.kind)),
+      assert(windows(rts, rte, ms, mode) ==
+        windows(rts, rte, ms, NegationJoin.Mode.All).filter(w => kinds.contains(w.kind)),
         s"seed=$seed mode=$mode")
+      // the perfbench view all() is the kernel with every window's match spelled out
+      assert(GroupWindows.all("R", "r1", 0.5, rts, rte, ms.map(x => SMatch("F", x.ls, x.ps, x.os, x.oe)))
+        .map(w => W(w.kind, w.ts, w.te, w.lsLins, w.lsProbs)) == windows(rts, rte, ms, NegationJoin.Mode.All))
     }
   }
 }

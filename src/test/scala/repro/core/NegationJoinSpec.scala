@@ -10,7 +10,7 @@ import repro.TestUtil._
   */
 class NegationJoinSpec extends SparkSpec {
 
-  import NegationJoin.{Mode, windowsFrom, winitRows}
+  import NegationJoin.{Mode, clj, windows}
 
   private lazy val a = TestUtil.aDf(spark)
   private lazy val b = TestUtil.bDf(spark)
@@ -18,49 +18,56 @@ class NegationJoinSpec extends SparkSpec {
 
   private def rows(df: org.apache.spark.sql.DataFrame): Set[Seq[String]] = canonSet(df)
 
+  /** The CLJ's matched rows as (outer lin, inner lin, os, oe, outer ts, outer te). */
+  private def matched(x: DataFrame): Set[(String, String, Long, Long, Long, Long)] =
+    x.filter(col("_m").isNotNull).select("lin", "_m.ls", "_m.os", "_m.oe", "ts", "te").collect()
+      .map(r => (r.getString(0), r.getString(1), r.getLong(2), r.getLong(3), r.getLong(4), r.getLong(5))).toSet
+
+  /** The windows of one kind as (name, lin, ts, te). */
+  private def kind(w: DataFrame, k: String): Set[(String, String, Long, Long)] =
+    w.filter(col("_kind") === k).select("name", "lin", "ts", "te").collect()
+      .map(r => (r.getString(0), r.getString(1), r.getLong(2), r.getLong(3))).toSet
+
   test("winit contains the overlapping windows of Fig. 5") {
-    val x = NegationJoin.winitRows(a, b, theta).collect()
-    val matched = x.filter(_.fs.isDefined)
-    assert(matched.length == 2)
-    val byLin = matched.map(m => (m.ls.get, (m.os.get, m.oe.get))).toMap
+    val byLin = matched(clj(a, b, theta)).map(m => m._2 -> (m._3, m._4)).toMap
+    assert(byLin.size == 2)
     assert(byLin("b3") == (4L, 6L))
     assert(byLin("b2") == (5L, 8L))
+    // the inner tuple's facts ride in _m.f as a typed struct
+    assert(clj(a, b, theta).filter(col("_m.ls") === "b3").select("_m.f.hotel", "_m.f.loc").head().toSeq ==
+      Seq("hotel1", "ZAK"))
   }
 
   test("winit keeps fully-unmatched r tuples with null s side") {
-    val x = NegationJoin.winitRows(a, b, theta).collect()
-    val unmatched = x.filter(_.fs.isEmpty)
-    assert(unmatched.length == 1)
-    assert(unmatched.head.lr == "a2")
-    assert((unmatched.head.rts, unmatched.head.rte) == (7L, 10L))
+    val unmatched = clj(a, b, theta).filter(col("_m").isNull).select("lin", "ts", "te").collect()
+    assert(unmatched.map(r => (r.getString(0), r.getLong(1), r.getLong(2))).toSeq == Seq(("a2", 7L, 10L)))
   }
 
   test("winit join interval is the pairwise intersection") {
-    val x = NegationJoin.winitRows(a, b, theta).collect()
-    x.filter(_.fs.isDefined).foreach { m =>
-      assert(m.os.get >= m.rts && m.oe.get <= m.rte && m.os.get < m.oe.get)
+    matched(clj(a, b, theta)).foreach { case (_, _, os, oe, ts, te) =>
+      assert(os >= ts && oe <= te && os < oe)
     }
   }
 
   test("window sets match Fig. 2: unmatched windows w1, w2") {
-    val wins = windowsFrom(winitRows(a, b, theta), Mode.All).collect()
-    val u = wins.filter(_.kind == "U").map(w => (w.lr, w.ts, w.te)).toSet
-    assert(u == Set(("a1", 2L, 4L), ("a2", 7L, 10L)))
+    assert(kind(windows(clj(a, b, theta), Mode.All, windowSideIsLeft = true), "U") ==
+      Set(("Ann", "a1", 2L, 4L), ("Jim", "a2", 7L, 10L)))
   }
 
   test("window sets match Fig. 2: overlapping windows w3, w4") {
-    val wins = windowsFrom(winitRows(a, b, theta), Mode.All).collect()
-    val o = wins.filter(_.kind == "O").map(w => (w.lr, w.lsLins.head, w.ts, w.te)).toSet
-    assert(o == Set(("a1", "b3", 4L, 6L), ("a1", "b2", 5L, 8L)))
+    val w = windows(clj(a, b, theta), Mode.All, windowSideIsLeft = true)
+    assert(kind(w, "O") == Set(("Ann", "a1&b3", 4L, 6L), ("Ann", "a1&b2", 5L, 8L)))
+    // an O window carries its match's facts; U and N windows carry none
+    assert(w.filter(col("_kind") === "O").select("_f.hotel").collect().map(_.getString(0)).toSet ==
+      Set("hotel1", "hotel2"))
+    assert(w.filter(col("_kind") =!= "O" && col("_f").isNotNull).isEmpty)
   }
 
   test("window sets match Fig. 2: negating windows w5, w6, w7") {
-    val wins = windowsFrom(winitRows(a, b, theta), Mode.All).collect()
-    val n = wins.filter(_.kind == "N").map(w => (w.lr, w.lsLins.mkString("|"), w.ts, w.te)).toSet
-    assert(n == Set(
-      ("a1", "b3", 4L, 5L),
-      ("a1", "b2|b3", 5L, 6L),
-      ("a1", "b2", 6L, 8L)))
+    assert(kind(windows(clj(a, b, theta), Mode.All, windowSideIsLeft = true), "N") == Set(
+      ("Ann", "a1&!b3", 4L, 5L),
+      ("Ann", "a1&!(b2|b3)", 5L, 6L),
+      ("Ann", "a1&!b2", 6L, 8L)))
   }
 
   test("TP anti join reproduces Fig. 3 exactly") {
@@ -119,13 +126,33 @@ class NegationJoinSpec extends SparkSpec {
     assert(fullSet.size == leftSet.size + rightOnly.size)
   }
 
+  private val ops = Seq(TPJoinOp.Anti, TPJoinOp.LeftOuter, TPJoinOp.RightOuter, TPJoinOp.FullOuter)
+
   test("plan shape: ▷, ⟕ and ⟖ plan one join, ⟗ two") {
-    // Per pass: one exchange for each CLJ input and one for the sweep's
-    // grouping; ⟗'s swapped pass reuses the CLJ input exchanges of its
-    // first pass.
-    val ops = Seq(TPJoinOp.Anti, TPJoinOp.LeftOuter, TPJoinOp.RightOuter, TPJoinOp.FullOuter)
+    // Per pass: one exchange for each CLJ input and none for the sweep,
+    // whose grouping keys include θ's equality key; ⟗'s swapped pass
+    // reuses the CLJ input exchanges of its first pass.
     assert(ops.map(op => planShape(spark)(NegationJoin(a, b, theta, op))) ==
-      Seq((1, 3), (1, 3), (1, 3), (2, 4)))
+      Seq((1, 2), (1, 2), (1, 2), (2, 2)))
+  }
+
+  test("plans hold no JSON expression and no typed object operator") {
+    import org.apache.spark.sql.catalyst.expressions.{JsonToStructs, StructsToJson}
+    import org.apache.spark.sql.execution._
+    for (op <- ops) {
+      val plan = NegationJoin(a, b, theta, op).queryExecution.executedPlan
+      val json = plan.flatMap(_.expressions.flatMap(_.collect {
+        case e: StructsToJson => e
+        case e: JsonToStructs => e
+      }))
+      val typed = plan.collect {
+        case p: DeserializeToObjectExec => p
+        case p: SerializeFromObjectExec => p
+        case p: MapGroupsExec => p
+        case p: AppendColumnsExec => p
+      }
+      assert(json.isEmpty && typed.isEmpty, s"$op:\n$plan")
+    }
   }
 
   test("anti join of disjoint relations passes r through unchanged") {
@@ -186,13 +213,14 @@ class NegationJoinSpec extends SparkSpec {
       KTup("A", "y1", 0.5, 0, 4),
       KTup("A", "y2", 0.5, 2, 8),
       KTup("A", "y3", 0.5, 6, 10)).toDF()
-    val wins = windowsFrom(winitRows(r, s, NegationJoin.thetaEq("k")), Mode.All).collect()
-    val n = wins.filter(_.kind == "N").map(w => (w.lsLins.mkString("|"), w.ts, w.te)).toSet
+    val wins = windows(clj(r, s, NegationJoin.thetaEq("k")), Mode.All, windowSideIsLeft = true)
+      .select("_kind", "lin", "ts", "te").collect().map(x => (x.getString(0), x.getString(1), x.getLong(2), x.getLong(3)))
+    val n = wins.filter(_._1 == "N").map(w => (w._2, w._3, w._4)).toSet
     assert(n == Set(
-      ("y1", 0L, 2L), ("y1|y2", 2L, 4L), ("y2", 4L, 6L),
-      ("y2|y3", 6L, 8L), ("y3", 8L, 10L)))
-    assert(wins.count(_.kind == "U") == 0)
-    assert(wins.count(_.kind == "O") == 3)
+      ("x1&!y1", 0L, 2L), ("x1&!(y1|y2)", 2L, 4L), ("x1&!y2", 4L, 6L),
+      ("x1&!(y2|y3)", 6L, 8L), ("x1&!y3", 8L, 10L)))
+    assert(wins.count(_._1 == "U") == 0)
+    assert(wins.count(_._1 == "O") == 3)
   }
 
   test("theta on non-equal attributes (inequality) is honored") {
@@ -338,6 +366,73 @@ class NegationJoinSpec extends SparkSpec {
     val e2 = intercept[IllegalArgumentException](
       NegationJoin(rLower, sUpper, NegationJoin.thetaEq("k"), TPJoinOp.LeftOuter))
     assert(e2.getMessage.contains("r.k2 and s.K2"), e2.getMessage)
+  }
+
+  test("an outer tuple with a null p, ts or te is rejected, naming it, not dropped") {
+    import spark.implicits._
+    val kTheta = NegationJoin.thetaEq("k")
+    val ok = Seq(KTup("A", "ok", 0.5, 0, 10)).toDF()
+    def df(lin: String, p: Option[Double], ts: Option[Long], te: Option[Long]) =
+      Seq(("A", lin, p, ts, te)).toDF("k", "lin", "p", "ts", "te")
+    val nulls = Seq[(String, (String => DataFrame))](
+      "p" -> (df(_, None, Some(3), Some(6))),
+      "ts" -> (df(_, Some(0.5), None, Some(6))),
+      "te" -> (df(_, Some(0.5), Some(3), None)))
+    for ((c, tuple) <- nulls) {
+      rejects(s"tuple x1 has a null $c")(NegationJoin(tuple("x1"), ok, kTheta, TPJoinOp.LeftOuter).collect())
+      // ⟖ is the swapped pass: s is its outer relation
+      rejects(s"tuple y1 has a null $c")(NegationJoin(ok, tuple("y1"), kTheta, TPJoinOp.RightOuter).collect())
+    }
+  }
+
+  test("a fact column named like an internal column is rejected where it is an outer column") {
+    import spark.implicits._
+    val kTheta = NegationJoin.thetaEq("k")
+    val plain = Seq(KTup("A", "y1", 0.4, 3, 6)).toDF()
+    def named(c: String) = Seq(("A", "v", "x1", 0.5, 0L, 10L)).toDF("k", c, "lin", "p", "ts", "te")
+    import TPJoinOp._
+    for (c <- NegationJoin.InternalCols ++ NegationJoin.InternalCols.map(_.toUpperCase)) {
+      // r is an outer relation of ▷, ⟕ and ⟗; s of ⟖ and ⟗
+      for ((op, r, s) <- Seq(Anti, LeftOuter, FullOuter).map((_, named(c), plain)) ++
+             Seq(RightOuter, FullOuter).map((_, plain, named(c)))) {
+        val e = intercept[IllegalArgumentException](NegationJoin(r, s, kTheta, op))
+        assert(e.getMessage.contains(s"'$c'"), e.getMessage)
+      }
+      // as an inner relation's fact it rides in the match struct and works
+      assert(NegationJoin(plain, named(c), kTheta, LeftOuter).filter(col(c) === "v").count() == 1, c)
+      assert(NegationJoin(named(c), plain, kTheta, RightOuter).filter(col(c) === "v").count() == 1, c)
+    }
+    // the join's aliases are not columns: facts named like them work in every op
+    for (c <- Seq("_l", "_r"); op <- ops)
+      assert(NegationJoin(named(c), plain, kTheta, op).count() ==
+        NegationJoin(named("v"), plain, kTheta, op).count(), s"$c $op")
+  }
+
+  test("one r tuple against 10^4 disjoint matches: ⟕ gives 3m+1 rows and ▷ 2m+1") {
+    import spark.implicits._
+    import java.lang.management.{ManagementFactory, MemoryType}
+    import scala.jdk.CollectionConverters._
+    val m = 10000
+    val kTheta = NegationJoin.thetaEq("k")
+    val r = Seq(KTup("A", "x", 0.5, 0, 2L * m + 1)).toDF()
+    val s = (0 until m).map(i => KTup("A", s"y$i", 0.5, 2L * i + 1, 2L * i + 2)).toDF()
+    val heap = ManagementFactory.getMemoryPoolMXBeans.asScala.filter(_.getType == MemoryType.HEAP)
+    heap.foreach(_.resetPeakUsage())
+    val t0 = System.nanoTime()
+    NegationJoin(r, s, kTheta, TPJoinOp.LeftOuter).write.format("noop").mode("overwrite").save()
+    val secs = (System.nanoTime() - t0) / 1e9
+    info(f"⟕ into noop: $secs%.2f s, peak heap ${heap.map(_.getPeakUsage.getUsed).sum / 1048576.0}%.0f MB")
+    assert(NegationJoin(r, s, kTheta, TPJoinOp.LeftOuter).count() == 3L * m + 1)
+    assert(NegationJoin(r, s, kTheta, TPJoinOp.Anti).count() == 2L * m + 1)
+  }
+
+  test("the perfbench views winitRows, windowsFrom, windowToOut and unpack give apply's rows") {
+    import spark.implicits._
+    for ((swap, op) <- Seq(false -> TPJoinOp.LeftOuter, true -> TPJoinOp.RightOuter)) {
+      val wins = NegationJoin.windowsFrom(NegationJoin.winitRows(a, b, theta, swap), Mode.All)
+      val out = wins.map(NegationJoin.windowToOut(_, windowSideIsLeft = !swap))
+      assert(rows(NegationJoin.unpack(out, a, b, anti = false)) == rows(NegationJoin(a, b, theta, op)), op)
+    }
   }
 
   type Column = org.apache.spark.sql.Column

@@ -15,10 +15,9 @@ class PointOracleSpec extends SparkSpec {
   private val thetaSql: PointOracle.ThetaSql = (r, s) => s"$r.loc = $s.loc"
 
   test("winit matched pairs agree with a plain DuckDB overlap join") {
-    val sparkSide = NegationJoin.winitRows(aDf(spark), bDf(spark), theta)
-      .toDF()
-      .filter(col("ls").isNotNull)
-      .select(col("lr"), col("ls"), col("os"), col("oe"))
+    val sparkSide = NegationJoin.clj(aDf(spark), bDf(spark), theta)
+      .filter(col("_m").isNotNull)
+      .select(col("lin").as("lr"), col("_m.ls").as("ls"), col("_m.os").as("os"), col("_m.oe").as("oe"))
     val sql =
       """SELECT r.lin AS lr, s.lin AS ls,
         |       greatest(CAST(r.ts AS BIGINT), CAST(s.ts AS BIGINT)) AS os,

@@ -16,6 +16,14 @@ class TemporalAlignmentSpec extends SparkSpec {
   private val theta = NegationJoin.thetaEq("loc")
   private val kTheta = NegationJoin.thetaEq("k")
 
+  /** NJ's windows of `r` by `s` as (kind, (outer tuple's lin, ts, te)). Base
+    * ids hold no `&`, so an output lineage starts with the outer tuple's.
+    */
+  private def njWindows(r: DataFrame, s: DataFrame, mode: NegationJoin.Mode): Set[(String, (String, Long, Long))] =
+    NegationJoin.windows(NegationJoin.clj(r, s, kTheta), mode, windowSideIsLeft = true)
+      .select("_kind", "lin", "ts", "te").collect()
+      .map(w => (w.getString(0), (w.getString(1).takeWhile(_ != '&'), w.getLong(2), w.getLong(3)))).toSet
+
   // --------------------------------------------------------------- align
 
   test("align replicates the paper's a by b: intersections plus gaps") {
@@ -35,9 +43,8 @@ class TemporalAlignmentSpec extends SparkSpec {
       val s = kDf(spark, randomRelation(seed + 2000, Seq("A", "B", "C"), 30, 3, "y"))
       val aligned = TemporalAlignment.align(r, s, kTheta).select("lin", "ts", "te").collect()
         .map(x => (x.getString(0), x.getLong(1), x.getLong(2))).toSet
-      val wins = NegationJoin.windowsFrom(NegationJoin.winitRows(r, s, kTheta), NegationJoin.Mode.UO)
-        .collect()
-      def of(kind: String) = wins.filter(_.kind == kind).map(w => (w.lr, w.ts, w.te)).toSet
+      val wins = njWindows(r, s, NegationJoin.Mode.UO)
+      def of(kind: String) = wins.filter(_._1 == kind).map(_._2)
       assert(aligned -- of("O") == of("U"), s"gaps seed=$seed")
       assert(aligned == of("U") ++ of("O"), s"align seed=$seed")
     }
@@ -71,8 +78,7 @@ class TemporalAlignmentSpec extends SparkSpec {
     (1 to 6).foreach { seed =>
       val r = kDf(spark, randomRelation(seed, Seq("A", "B", "C"), 30, 3, "x"))
       val s = kDf(spark, randomRelation(seed + 2000, Seq("A", "B", "C"), 30, 3, "y"))
-      val wins = NegationJoin.windowsFrom(NegationJoin.winitRows(r, s, kTheta), NegationJoin.Mode.UN)
-        .collect().map(w => (w.lr, w.ts, w.te)).toSet
+      val wins = njWindows(r, s, NegationJoin.Mode.UN).map(_._2)
       assert(linIntervals(TemporalAlignment.normalize(r, s, kTheta)) == wins, s"normalize seed=$seed")
     }
   }
