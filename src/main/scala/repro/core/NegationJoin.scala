@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame, Dataset}
+import org.apache.spark.sql.api.java.UDF2
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.LongType
 
@@ -19,7 +20,9 @@ object TPJoinOp {
 
 /** A finalized window with the facts of the user-facing left/right input
   * packed as JSON (None where the paper writes `-`/null facts): the row
-  * format of TA's output and of NJ's perfbench views.
+  * format of NJ's perfbench views only; neither NJ nor TA runs it. JSON
+  * keeps a timestamp fact to milliseconds only, so this view cuts its
+  * sub-millisecond digits.
   */
 final case class OutRow(
     rfJson: Option[String], sfJson: Option[String],
@@ -103,7 +106,9 @@ object NegationJoin {
     * Returns the outer tuple's columns under their own names plus one
     * struct `_m = (ls, ps, os, oe, f)`: the inner tuple's lineage and
     * probability, the overlap `[os, oe)` and its facts `f`. `_m` is null for
-    * an outer tuple that matched nothing. `swap=true` runs the pass with `s`
+    * an outer tuple that matched nothing. A tuple of either input with a
+    * null `ts` or `te` is rejected, naming it: θo could never hold for it, so
+    * it would otherwise drop out unseen. `swap=true` runs the pass with `s`
     * as the outer relation (for the second NegationJoins invocation of
     * Alg. 3); θ argument order is fixed to (original left alias, original
     * right alias) either way.
@@ -125,10 +130,30 @@ object NegationJoin {
       greatest(col("_l.ts"), col("_r.ts")).cast(LongType).as("os"),
       least(col("_l.te"), col("_r.te")).cast(LongType).as("oe"),
       struct(factCols(inner).map(c => col(s"_r.$c").as(c)): _*).as("f"))
-    outer.as("_l").join(inner.as("_r"), thetaCol && overlap, "left_outer")
+    checked(outer).as("_l").join(checked(inner).as("_r"), thetaCol && overlap, "left_outer")
       .select(outer.columns.toSeq.map(c => col(s"_l.$c").as(c)) :+
         when(col("_r.ts").isNotNull, m).as("_m"): _*)
   }
+
+  /** Fails for a tuple with a null `ts` or `te`, naming it. Not nullable:
+    * `coalesce` calls it only on a null, so its result is never read. A Java
+    * UDF, so that planning resolves no input encoders for it: a typed Scala
+    * UDF here made each NJ query plan measurably slower on small inputs.
+    */
+  private val nullInterval = udf(new UDF2[String, String, java.lang.Long] {
+    def call(lin: String, c: String): java.lang.Long =
+      throw new IllegalArgumentException(s"tuple $lin has a null $c")
+  }, LongType).asNonNullable()
+
+  /** `df` with a null `ts` or `te` rejected. The checked columns are not
+    * nullable, so Catalyst infers no `isnotnull` filter from θo that could
+    * drop a tuple before the check sees it.
+    */
+  private def checked(df: DataFrame): DataFrame =
+    df.select(df.columns.toSeq.map {
+      case c @ ("ts" | "te") => coalesce(col(c), nullInterval(col("lin"), lit(c))).as(c)
+      case c => col(c)
+    }: _*)
 
   /** One kernel output row: the O window's match position (-1 for U and N
     * windows), the window's kind, finalized lineage and probability, and
@@ -141,19 +166,17 @@ object NegationJoin {
     *
     * Returns one row per window: the outer tuple's facts under their own
     * names, the O window's match facts `_f` (null for U and N windows), the
-    * window's `_kind` and its `lin`, `p`, `ts` and `te`. A null `p`, `ts` or
-    * `te` on an outer tuple is rejected, naming the tuple.
+    * window's `_kind` and its `lin`, `p`, `ts` and `te`. A null `p` on an
+    * outer tuple is rejected, naming the tuple.
     */
   def windows(clj: DataFrame, mode: Mode, windowSideIsLeft: Boolean): DataFrame = {
     val outerCols = clj.columns.toSeq.filterNot(_ == "_m")
     val facts = outerCols.filterNot(MetaCols.contains).map(col)
-    // Boxed meta columns: a Scala UDF skips a null primitive argument, and
-    // explode(null) would then drop the tuple silently.
-    val kernel = udf { (lr: String, pr: java.lang.Double, rts: java.lang.Long, rte: java.lang.Long,
+    // Boxed p: a Scala UDF skips a null primitive argument, and explode(null)
+    // would then drop the tuple silently. `clj` has rejected a null ts or te.
+    val kernel = udf { (lr: String, pr: java.lang.Double, rts: Long, rte: Long,
                         ls: Seq[String], ps: Seq[java.lang.Double], os: Seq[Long], oe: Seq[Long]) =>
-      Seq(("p", pr), ("ts", rts), ("te", rte)).foreach { case (c, v) =>
-        require(v != null, s"tuple $lr has a null $c")
-      }
+      require(pr != null, s"tuple $lr has a null p")
       val ms = ls.indices.map { k =>
         require(ls(k) != null && ps(k) != null,
           s"an s tuple matching r tuple $lr over [${os(k)}, ${oe(k)}) has a null lin or p")
@@ -251,8 +274,7 @@ object NegationJoin {
   // ------------------------------------------- layer views for perfbench
 
   // perfbench compiles against this typed, JSON-packed layer API and is
-  // frozen; nothing `apply` or the figure harness runs calls these views.
-  // `unpack` is also TA's output step.
+  // frozen; nothing `apply`, TA or the figure harness runs calls these views.
 
   /** [[clj]] with the facts packed as JSON, as typed [[XRow]]s. */
   def winitRows(r: DataFrame, s: DataFrame, theta: (String, String) => Column,
@@ -284,7 +306,10 @@ object NegationJoin {
     else OutRow(w.fs, Some(w.fr), lin, p, w.ts, w.te)
   }
 
-  /** [[OutRow]]s in the user-facing schema: `from_json`, then [[output]]. */
+  /** [[OutRow]]s in the user-facing schema: `from_json`, then [[output]].
+    * A perfbench view only; its JSON round trip keeps timestamp facts to
+    * milliseconds.
+    */
   def unpack(out: Dataset[OutRow], r: DataFrame, s: DataFrame, anti: Boolean): DataFrame = {
     def schema(df: DataFrame) = df.select(factCols(df).map(col): _*).schema
     val structs = out.toDF()

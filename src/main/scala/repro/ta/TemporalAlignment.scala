@@ -104,7 +104,8 @@ object TemporalAlignment {
   }
 
   /** Fig. 10b subtree: `Φ(k,m) ⟕_{θ ∧ T=T} Φ(m,k)` + distinct → WO ∪ WU
-    * rows, in [[OutRow]] shape (left table = `k`).
+    * rows: `k`'s facts as the struct `_rf`, the matching `m` tuple's facts
+    * as `_sf` (null for a WU row), and `lin`, `p`, `ts`, `te`.
     */
   def windowsUO(k: DataFrame, m: DataFrame, theta: (String, String) => Column): DataFrame = {
     val kf = factCols(k)
@@ -122,8 +123,8 @@ object TemporalAlignment {
         col("_l.te") === least(col("_l.ote"), col("_r.ote"))
     ak.as("_l").join(am.as("_r"), theta("_l", "_r") && pairCond, "left_outer")
       .select(
-        to_json(struct(kf.map(c => col(s"_l.$c").as(c)): _*)).as("rfJson"),
-        when(matched, to_json(struct(mf.map(c => col(s"_r.$c").as(c)): _*))).as("sfJson"),
+        struct(kf.map(c => col(s"_l.$c").as(c)): _*).as("_rf"),
+        when(matched, struct(mf.map(c => col(s"_r.$c").as(c)): _*)).as("_sf"),
         when(matched, linAnd(col("_l.lin"), col("_r.lin"))).otherwise(col("_l.lin")).as("lin"),
         when(matched, probAnd(col("_l.lin"), col("_l.p"), col("_r.lin"), col("_r.p")))
           .otherwise(col("_l.p")).as("p"),
@@ -132,8 +133,8 @@ object TemporalAlignment {
   }
 
   /** Fig. 10c subtree: normalization + containment join + grouping →
-    * WN ∪ WU rows (left table = `k`). The WU rows are computed here a
-    * second time (deduplicated away in the final union).
+    * WN ∪ WU rows, with `k`'s facts as `_rf`. The WU rows are computed here
+    * a second time (deduplicated away in the final union).
     */
   def windowsNU(k: DataFrame, m: DataFrame, theta: (String, String) => Column): DataFrame = {
     val kf = factCols(k)
@@ -147,8 +148,7 @@ object TemporalAlignment {
         when(col("_r.lin").isNotNull, struct(col("_r.lin").as("lin"), col("_r.p").as("p")))
       )).as("ms"))
     grouped.select(
-      to_json(struct(kf.map(c => col(s"_l.$c").as(c)): _*)).as("rfJson"),
-      lit(null: String).as("sfJson"),
+      struct(kf.map(c => col(s"_l.$c").as(c)): _*).as("_rf"),
       when(size(col("ms")) === 0, col("_l.lin"))
         .otherwise(linAndNotOr(col("_l.lin"), expr("transform(ms, x -> x.lin)"))).as("lin"),
       when(size(col("ms")) === 0, col("_l.p"))
@@ -157,39 +157,37 @@ object TemporalAlignment {
       col("_l.ts").as("ts"), col("_l.te").as("te"))
   }
 
-  private def flip(outRows: DataFrame): DataFrame =
-    outRows.select(col("sfJson").as("rfJson"), col("rfJson").as("sfJson"),
-                   col("lin"), col("p"), col("ts"), col("te"))
+  /** WN ∪ WU rows of a swapped (s;r) subtree: their facts are the right side's.
+    * Unions by name fill the side a row lacks, `_sf` or `_rf`, with null.
+    */
+  private def flip(nuRows: DataFrame): DataFrame = nuRows.withColumnRenamed("_rf", "_sf")
 
   // ------------------------------------------------------------- TP joins
 
   /** `r ▷Tp s` via TA: the N-subtree alone (WU ∪ WN). */
   def anti(r: DataFrame, s: DataFrame, theta: (String, String) => Column): DataFrame =
-    unpackOut(windowsNU(r, s, theta), r, s, anti = true)
+    output(windowsNU(r, s, theta), r, s, anti = true)
 
   /** `r ⟕Tp s` via TA: duplicate-eliminating union of both subtrees. */
   def leftOuter(r: DataFrame, s: DataFrame, theta: (String, String) => Column): DataFrame =
-    unpackOut(windowsUO(r, s, theta).unionByName(windowsNU(r, s, theta)).distinct(),
-              r, s, anti = false)
+    output(windowsUO(r, s, theta).unionByName(windowsNU(r, s, theta), allowMissingColumns = true)
+      .distinct(), r, s, anti = false)
 
   /** `r ⟖Tp s` via TA: WO of (r;s) plus flipped WU ∪ WN of (s;r). */
   def rightOuter(r: DataFrame, s: DataFrame, theta: (String, String) => Column): DataFrame = {
-    val o = windowsUO(r, s, theta).filter(col("sfJson").isNotNull)
+    val o = windowsUO(r, s, theta).filter(col("_sf").isNotNull)
     val nu = flip(windowsNU(s, r, (o2, i) => theta(i, o2)))
-    unpackOut(o.unionByName(nu).distinct(), r, s, anti = false)
+    output(o.unionByName(nu, allowMissingColumns = true).distinct(), r, s, anti = false)
   }
 
   /** `r ⟗Tp s` via TA: left outer plus flipped WU ∪ WN of (s;r). */
   def fullOuter(r: DataFrame, s: DataFrame, theta: (String, String) => Column): DataFrame = {
-    val left = windowsUO(r, s, theta).unionByName(windowsNU(r, s, theta))
+    val left = windowsUO(r, s, theta).unionByName(windowsNU(r, s, theta), allowMissingColumns = true)
     val nu = flip(windowsNU(s, r, (o2, i) => theta(i, o2)))
-    unpackOut(left.unionByName(nu).distinct(), r, s, anti = false)
+    output(left.unionByName(nu, allowMissingColumns = true).distinct(), r, s, anti = false)
   }
 
-  /** Same unpacking as NJ so both implementations share an output schema. */
-  private def unpackOut(outRows: DataFrame, r: DataFrame, s: DataFrame, anti: Boolean): DataFrame = {
-    val spark = r.sparkSession
-    import spark.implicits._
-    NegationJoin.unpack(outRows.as[OutRow], r, s, anti)
-  }
+  /** NJ's output select, so both implementations share an output schema. */
+  private def output(rows: DataFrame, r: DataFrame, s: DataFrame, anti: Boolean): DataFrame =
+    NegationJoin.output(rows, r, s, anti)(c => col(s"_rf.$c"), c => col(s"_sf.$c"))
 }

@@ -1,6 +1,7 @@
 package repro
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.execution.SparkPlan
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeLike
 import org.apache.spark.sql.execution.joins.BaseJoinExec
 import repro.core.{Lineage, TPTuple}
@@ -97,18 +98,22 @@ object TestUtil {
     df.select(cols.head, cols.tail: _*).collect().map(canonRow).toSet
   }
 
-  /** The number of joins and of shuffle exchanges in `df`'s physical plan.
-    * Planned with adaptive execution off, so the plan holds every join and
-    * exchange up front.
+  /** `df`'s physical plan, planned with adaptive execution off, so that
+    * the plan holds every operator up front: an adaptive plan's root hides
+    * its operators from a tree walk.
     */
-  def planShape(spark: SparkSession)(df: => DataFrame): (Int, Int) = {
+  def physicalPlan(spark: SparkSession)(df: => DataFrame): SparkPlan = {
     val aqe = "spark.sql.adaptive.enabled"
     val was = spark.conf.get(aqe)
     spark.conf.set(aqe, false)
-    try {
-      val plan = df.queryExecution.executedPlan
-      (plan.collect { case j: BaseJoinExec => j }.size,
-       plan.collect { case e: ShuffleExchangeLike => e }.size)
-    } finally spark.conf.set(aqe, was)
+    try df.queryExecution.executedPlan
+    finally spark.conf.set(aqe, was)
+  }
+
+  /** The number of joins and of shuffle exchanges in `df`'s physical plan. */
+  def planShape(spark: SparkSession)(df: => DataFrame): (Int, Int) = {
+    val plan = physicalPlan(spark)(df)
+    (plan.collect { case j: BaseJoinExec => j }.size,
+     plan.collect { case e: ShuffleExchangeLike => e }.size)
   }
 }

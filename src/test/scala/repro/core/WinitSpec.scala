@@ -81,10 +81,10 @@ class WinitSpec extends SparkSpec {
     assert(x.find(_.lr == "z").get.ls.isEmpty)
   }
 
-  // NJ keeps facts typed; TA still packs its output facts as JSON and
-  // unpacks them with NegationJoin.unpack. Both must give the facts back.
+  // NJ and TA carry facts as typed structs into the same output select;
+  // both must give every fact back as it came in.
 
-  test("multi-column facts survive the JSON round trip") {
+  test("multi-column facts come back in NJ's and TA's output") {
     val a = TestUtil.aDf(spark)
     val b = TestUtil.bDf(spark)
     val thetaLoc = NegationJoin.thetaEq("loc")
@@ -94,7 +94,7 @@ class WinitSpec extends SparkSpec {
     }
   }
 
-  test("long fact values with quotes survive JSON packing") {
+  test("long fact values with quotes come back in NJ's and TA's output") {
     val r = Seq(KTup("""A "quoted" fact""", "x", 0.5, 0, 5)).toDF()
     val s = Seq.empty[KTup].toDF()
     for (out <- Seq(NegationJoin(r, s, theta, TPJoinOp.Anti), TemporalAlignment.anti(r, s, theta)))

@@ -145,6 +145,37 @@ class TemporalAlignmentSpec extends SparkSpec {
     }
   }
 
+  test("TA ≡ NJ on all four ops over microsecond timestamp, date and decimal facts") {
+    // typed facts on both sides, of types a JSON round trip would change:
+    // its default timestamp format keeps milliseconds only
+    def typed(rel: Seq[KTup]): DataFrame = kDf(spark, rel).select(col("k"),
+      timestamp_micros(lit(1577872800123456L) + col("ts") * 1000001L + col("te")).as("at"),
+      date_add(lit("2020-01-01").cast("date"), col("te").cast("int")).as("day"),
+      (col("ts").cast("decimal(12,3)") / 8).cast("decimal(12,3)").as("amount"),
+      col("lin"), col("p"), col("ts"), col("te"))
+    val cases = Seq(
+      TPJoinOp.Anti -> TemporalAlignment.anti _, TPJoinOp.LeftOuter -> TemporalAlignment.leftOuter _,
+      TPJoinOp.RightOuter -> TemporalAlignment.rightOuter _, TPJoinOp.FullOuter -> TemporalAlignment.fullOuter _)
+    // facts compared as Spark renders them: collecting a java.sql.Timestamp
+    // needs JVM module access that the forked test JVM does not open
+    def shown(df: DataFrame) = canonSet(df.select(df.columns.toSeq.map(c =>
+      if (NegationJoin.MetaCols.contains(c)) col(c) else col(c).cast("string").as(c)): _*))
+    def types(df: DataFrame) = df.schema.map(f => (f.name, f.dataType))
+    (1 to 3).foreach { seed =>
+      val r = typed(randomRelation(seed, Seq("A", "B"), 30, 3, "x"))
+      val s = typed(randomRelation(seed + 2000, Seq("A", "B"), 30, 3, "y"))
+      for ((op, ta) <- cases) {
+        val (out, nj) = (ta(r, s, kTheta), NegationJoin(r, s, kTheta, op))
+        assert(types(out) == types(nj), s"$op seed=$seed")
+        assert(shown(out) == shown(nj), s"$op seed=$seed")
+      }
+      val micros = TemporalAlignment.leftOuter(r, s, kTheta)
+        .select(unix_micros(col("at")) % 1000, unix_micros(col("s_at")) % 1000).collect()
+        .flatMap(_.toSeq).collect { case m: Long => m }
+      assert(micros.nonEmpty && !micros.contains(0L), s"sub-millisecond digits lost, seed=$seed")
+    }
+  }
+
   test("TA windowsUO deduplicates replicas of identical intersections") {
     import spark.implicits._
     // two s tuples with identical overlap window against r would replicate r
@@ -152,7 +183,7 @@ class TemporalAlignmentSpec extends SparkSpec {
     val s = Seq(KTup("A", "y1", 0.5, 0, 4), KTup("A", "y2", 0.5, 0, 4)).toDF()
     val uo = TemporalAlignment.windowsUO(r, s, kTheta)
     // exactly two overlapping windows (x1,y1) and (x1,y2), no spurious rows
-    assert(uo.filter(col("sfJson").isNotNull).count() == 2)
+    assert(uo.filter(col("_sf").isNotNull).count() == 2)
   }
 
   test("TA windowsUO produces no spurious sub-windows from third tuples") {
@@ -161,7 +192,7 @@ class TemporalAlignmentSpec extends SparkSpec {
     // create replicas with interval [0,5) that must NOT pair (k,m2).
     val r = Seq(KTup("A", "k", 0.5, 0, 10), KTup("A", "k2", 0.5, 0, 5)).toDF()
     val s = Seq(KTup("A", "m1", 0.5, 0, 5), KTup("A", "m2", 0.5, 0, 10)).toDF()
-    val o = TemporalAlignment.windowsUO(r, s, kTheta).filter(col("sfJson").isNotNull)
+    val o = TemporalAlignment.windowsUO(r, s, kTheta).filter(col("_sf").isNotNull)
       .select("lin", "ts", "te").collect()
       .map(x => (x.getString(0), x.getLong(1), x.getLong(2))).toSet
     assert(o == Set(
