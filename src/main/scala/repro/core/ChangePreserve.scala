@@ -12,8 +12,7 @@ import org.apache.spark.sql.functions._
   * except `ts`/`te` (facts, lineage string, probability) into maximal
   * intervals — a gaps-and-islands pass. The NJ operator's output is maximal
   * by construction (every window boundary is a change point), so tests
-  * assert `coalesce` is a no-op on it; it is also used to normalize
-  * generated inputs into duplicate-free TP relations.
+  * assert `coalesce` is a no-op on it.
   *
   * String equality of lineages is used as the equivalence proxy: rows
   * produced by one deterministic pipeline render equivalent lineages

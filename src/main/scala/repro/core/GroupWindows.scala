@@ -6,12 +6,18 @@ package repro.core
 final case class Match(ls: String, ps: Double, os: Long, oe: Long)
 
 /** A generalized lineage-aware temporal window of one group (paper Def. 1 /
-  * Table II): its kind, `"U"` (unmatched), `"O"` (overlapping) or `"N"`
-  * (negating), its interval, and the positions of its matches in the
-  * group's match list. An O window holds its one match, an N window every
-  * valid match over `[ts, te)` (λs is their disjunction), a U window none.
+  * Table II) over `[ts, te)`, one case per kind. A window names its matches
+  * by position in the group's match list.
   */
-final case class Window(kind: String, ts: Long, te: Long, matches: Seq[Int])
+sealed trait Window
+object Window {
+  /** An unmatched window: no match is valid over `[ts, te)`. */
+  final case class U(ts: Long, te: Long) extends Window
+  /** An overlapping window: the intersection with match `m`. */
+  final case class O(ts: Long, te: Long, m: Int) extends Window
+  /** A negating window: λs is the disjunction of the valid set `ms`. */
+  final case class N(ts: Long, te: Long, ms: Seq[Int]) extends Window
+}
 
 /** LAWA-U and LAWA-N in one boundary sweep per group (paper Alg. 1 & 2).
   *
@@ -66,13 +72,13 @@ object GroupWindows {
       while (i < n && matches(byStart(i)).os == p) {
         val k = byStart(i)
         active.set(rank(k))
-        if (mode.o) out += Window("O", p, matches(k).oe, Vector(k))
+        if (mode.o) out += Window.O(p, matches(k).oe, k)
         i += 1
       }
       val next = math.min(if (i < n) matches(byStart(i)).os else rte,
                           if (j < n) matches(byEnd(j)).oe else rte)
-      if (active.isEmpty) { if (mode.u) out += Window("U", p, next, Vector.empty) }
-      else if (mode.n) out += Window("N", p, next, active.stream.toArray.toVector.map(byLin(_)))
+      if (active.isEmpty) { if (mode.u) out += Window.U(p, next) }
+      else if (mode.n) out += Window.N(p, next, active.stream.toArray.toVector.map(byLin(_)))
       p = next
     }
     out.result()
@@ -92,9 +98,10 @@ object GroupWindows {
   def wins(fr: String, lr: String, pr: Double, rts: Long, rte: Long,
            matches: Seq[SMatch], mode: NegationJoin.Mode): Vector[Win] = {
     val ms = matches.toIndexedSeq
-    windows(lr, pr, rts, rte, ms.map(m => Match(m.ls, m.ps, m.os, m.oe)), mode).map { w =>
-      val fs = if (w.kind == "O") Some(ms(w.matches.head).fs) else None
-      Win(fr, fs, lr, pr, w.matches.map(ms(_).ls), w.matches.map(ms(_).ps), w.ts, w.te, w.kind)
+    windows(lr, pr, rts, rte, ms.map(m => Match(m.ls, m.ps, m.os, m.oe)), mode).map {
+      case Window.U(ts, te) => Win(fr, None, lr, pr, Nil, Nil, ts, te, "U")
+      case Window.O(ts, te, k) => Win(fr, Some(ms(k).fs), lr, pr, Seq(ms(k).ls), Seq(ms(k).ps), ts, te, "O")
+      case Window.N(ts, te, ks) => Win(fr, None, lr, pr, ks.map(ms(_).ls), ks.map(ms(_).ps), ts, te, "N")
     }
   }
 

@@ -21,12 +21,11 @@ package repro.core
   * order yields equal strings; logical equivalence is decided by
   * [[Lineage.equiv]] via truth-table enumeration.
   *
-  * The joins compose output lineage with [[Lineage.renderAnd]] and
-  * [[Lineage.renderAndNotOr]] and value it with [[Lineage.probAnd]] and
-  * [[Lineage.probAndNotOr]]. For base-tuple ids (every operand one atom)
-  * these build the string directly; only derived, non-atomic lineage is
-  * parsed into a formula, combined and rendered. Both paths give the same
-  * bytes.
+  * The joins compose an output lineage and its probability with one call
+  * per window: [[Lineage.overlapping]] for an O window, [[Lineage.negating]]
+  * for an N window. For base-tuple ids (every operand one atom) these build
+  * the string directly; only derived, non-atomic lineage is parsed into a
+  * formula, combined and rendered. Both paths give the same bytes.
   */
 sealed trait Lineage {
   /** Canonical string form (paper-style, minimal parentheses). */
@@ -127,48 +126,44 @@ object Lineage {
   /** `λr ∧ ¬λs` — the lineage-concatenation function for negating windows. */
   def andNot(a: Lineage, b: Lineage): Lineage = and(Seq(a, not(b)))
 
-  /** `λa ∧ λb` on lineage strings: `andL(parse(a), parse(b)).render`.
-    * Two base-tuple ids are joined directly, without the formula tree.
+  /** An overlapping window's lineage `λa ∧ λb` and its probability, given
+    * `P(λa) = pa` and `P(λb) = pb`: for base-tuple ids `a&b` with `pa·pb`,
+    * or `a` with `pa` for one tuple on both sides. Derived operands are
+    * parsed once and valued `pa·pb`, exact when they share no base tuple;
+    * else an `IllegalArgumentException` names the shared ones.
     */
-  def renderAnd(a: String, b: String): String =
-    if (isAtom(a) && isAtom(b)) { if (a == b) a else s"$a&$b" }
-    else andL(parse(a), parse(b)).render
+  def overlapping(a: String, pa: Double, b: String, pb: Double): (String, Double) =
+    if (isAtom(a) && isAtom(b)) { if (a == b) (a, pa) else (s"$a&$b", pa * pb) }
+    else (and(independent(Seq(a, b))).render, pa * pb)
 
-  /** `λa ∧ ¬(λb₁ ∨ … ∨ λbₖ)` on lineage strings:
-    * `andNot(parse(a), or(bs.map(parse))).render`. When every operand is a
-    * base-tuple id, the disjuncts are deduplicated (first occurrence kept)
-    * and joined directly, without the formula tree.
+  /** A negating window's lineage `λa ∧ ¬(λb₁ ∨ … ∨ λbₖ)`, `k ≥ 1`, and its
+    * probability; a repeated disjunct counts once (first occurrence kept).
+    * For base-tuple ids `a&!b` or `a&!(b|c)`, valued 0 when `a` is among the
+    * `bs` and `pa·Π(1−pbᵢ)` otherwise; derived operands as in [[overlapping]].
     */
-  def renderAndNotOr(a: String, bs: Seq[String]): String =
-    if (bs.nonEmpty && isAtom(a) && bs.forall(isAtom)) {
-      val ds = bs.distinct
-      if (ds.size == 1) s"$a&!${ds.head}" else ds.mkString(s"$a&!(", "|", ")")
-    } else andNot(parse(a), or(bs.map(parse))).render
-
-  /** `P(λa ∧ λb)` given `P(λa) = pa`, `P(λb) = pb`: exact for base-tuple ids
-    * (`a∧a` is `a`); derived operands as in [[probAndNotOr]].
-    */
-  def probAnd(a: String, pa: Double, b: String, pb: Double): Double =
-    if (isAtom(a) && isAtom(b)) { if (a == b) pa else pa * pb }
-    else { requireIndependent(Seq(a, b)); pa * pb }
-
-  /** `P(λa ∧ ¬(λb₁ ∨ … ∨ λbₖ))` from the operands' probabilities; a repeated
-    * disjunct counts once. Exact for base-tuple ids: 0 when `a` is among the
-    * `bs`, else `pa·Π(1−pbᵢ)`. Derived operands get the product, exact when
-    * no two share a base tuple; else an `IllegalArgumentException` names them.
-    */
-  def probAndNotOr(a: String, pa: Double, bs: Seq[String], pbs: Seq[Double]): Double = {
+  def negating(a: String, pa: Double, bs: Seq[String], pbs: Seq[Double]): (String, Double) = {
+    require(bs.nonEmpty, s"a negating window of $a has no match")
     val ds = bs.zip(pbs).distinctBy(_._1)
-    val atoms = isAtom(a) && bs.forall(isAtom)
-    if (!atoms) requireIndependent(a +: ds.map(_._1))
-    if (atoms && ds.exists(_._1 == a)) 0.0 else pa * ds.map(1.0 - _._2).product
+    val p = pa * ds.map(1.0 - _._2).product
+    if (isAtom(a) && bs.forall(isAtom)) {
+      val lin = if (ds.size == 1) s"$a&!${ds.head._1}" else ds.map(_._1).mkString(s"$a&!(", "|", ")")
+      (lin, if (ds.exists(_._1 == a)) 0.0 else p)
+    } else {
+      val parsed = independent(a +: ds.map(_._1))
+      (andNot(parsed.head, or(parsed.tail)).render, p)
+    }
   }
 
-  private def requireIndependent(operands: Seq[String]): Unit = {
-    val vars = operands.flatMap(parse(_).vars)
+  /** The parsed `operands`, which must share no base tuple: only then is
+    * the probability of their conjunction the product of theirs.
+    */
+  private def independent(operands: Seq[String]): Seq[Lineage] = {
+    val parsed = operands.map(parse)
+    val vars = parsed.flatMap(_.vars)
     val shared = vars.diff(vars.distinct).distinct.sorted
     require(shared.isEmpty, s"lineage operands ${operands.mkString("'", "', '", "'")} " +
       s"share base tuples ${shared.mkString(", ")}: their probabilities are not independent")
+    parsed
   }
 
   /** Whether `s` is one base-tuple id: a whole `atom` of the grammar. */

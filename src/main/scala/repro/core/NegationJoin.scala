@@ -162,6 +162,25 @@ object NegationJoin {
     */
   final case class KernelRow(i: Int, kind: String, lin: String, p: Double, ts: Long, te: Long)
 
+  /** Window `w` of the outer tuple `lr` with matches `ms`, finalized by its
+    * set's lineage function (paper §V, Alg. 3 l.10-17). `windowSideIsLeft`
+    * (the pass's outer relation is the user-facing left table) orders an O
+    * window's ∧ operands by output side, `λr∧λs` from either pass; U and N
+    * windows keep the outer tuple's lineage first (`λs∧¬λr` when swapped).
+    */
+  private def kernelRow(w: Window, lr: String, pr: Double, ms: IndexedSeq[Match],
+                        windowSideIsLeft: Boolean): KernelRow = w match {
+    case Window.U(ts, te) => KernelRow(-1, "U", lr, pr, ts, te)
+    case Window.O(ts, te, k) =>
+      val m = ms(k)
+      val (lin, p) =
+        if (windowSideIsLeft) Lineage.overlapping(lr, pr, m.ls, m.ps) else Lineage.overlapping(m.ls, m.ps, lr, pr)
+      KernelRow(k, "O", lin, p, ts, te)
+    case Window.N(ts, te, ks) =>
+      val (lin, p) = Lineage.negating(lr, pr, ks.map(ms(_).ls), ks.map(ms(_).ps))
+      KernelRow(-1, "N", lin, p, ts, te)
+  }
+
   /** Step 2: sweep each outer tuple's matches (LAWA-U/N) and finalize.
     *
     * Returns one row per window: the outer tuple's facts under their own
@@ -182,11 +201,7 @@ object NegationJoin {
           s"an s tuple matching r tuple $lr over [${os(k)}, ${oe(k)}) has a null lin or p")
         Match(ls(k), ps(k), os(k), oe(k))
       }
-      GroupWindows.windows(lr, pr, rts, rte, ms, mode).map { w =>
-        val (lin, p) = finalizeWindow(w.kind, lr, pr, w.matches.map(ms(_).ls), w.matches.map(ms(_).ps),
-          windowSideIsLeft)
-        KernelRow(if (w.kind == "O") w.matches.head else -1, w.kind, lin, p, w.ts, w.te)
-      }
+      GroupWindows.windows(lr, pr, rts, rte, ms, mode).map(kernelRow(_, lr, pr, ms, windowSideIsLeft))
     }
     val w = kernel(col("lin"), col("p"), col("ts"), col("te"),
       col("_ms.ls"), col("_ms.ps"), col("_ms.os"), col("_ms.oe"))
@@ -195,28 +210,6 @@ object NegationJoin {
       .select(facts ++ Seq(
         when(col("_w.i") >= 0, col("_ms")(col("_w.i")).getField("f")).as("_f"), col("_w.kind").as("_kind"),
         col("_w.lin").as("lin"), col("_w.p").as("p"), col("_w.ts").as("ts"), col("_w.te").as("te")): _*)
-  }
-
-  /** Step 3's lineage concatenation per window set (paper §V, Alg. 3
-    * l.10-17): a window's output lineage and probability.
-    *
-    * `windowSideIsLeft` states whether the window pass used the user-facing
-    * left table as its outer relation. It orders the ∧ operands of an O
-    * window by output side: `λr∧λs` from either pass. U and N windows keep
-    * the outer tuple's lineage first (`λs∧¬λr` in a swapped pass).
-    *
-    * The lineage strings come from [[Lineage.renderAnd]] and
-    * [[Lineage.renderAndNotOr]]: joined directly for base-tuple ids, parsed
-    * and rendered only for derived lineage. Their probabilities come from
-    * [[Lineage.probAnd]] and [[Lineage.probAndNotOr]].
-    */
-  def finalizeWindow(kind: String, lr: String, pr: Double, ls: Seq[String], ps: Seq[Double],
-                     windowSideIsLeft: Boolean): (String, Double) = kind match {
-    case "U" => (lr, pr)
-    case "O" =>
-      val l = if (windowSideIsLeft) Lineage.renderAnd(lr, ls.head) else Lineage.renderAnd(ls.head, lr)
-      (l, Lineage.probAnd(lr, pr, ls.head, ps.head))
-    case "N" => (Lineage.renderAndNotOr(lr, ls), Lineage.probAndNotOr(lr, pr, ls, ps))
   }
 
   /** Step 3: the user-facing columns of a join's windows.
@@ -299,11 +292,17 @@ object NegationJoin {
     }
   }
 
-  /** A [[Win]] finalized by [[finalizeWindow]], facts on their output side. */
+  /** A [[Win]] finalized as the kernel does, facts on their output side. */
   def windowToOut(w: Win, windowSideIsLeft: Boolean): OutRow = {
-    val (lin, p) = finalizeWindow(w.kind, w.lr, w.pr, w.lsLins, w.lsProbs, windowSideIsLeft)
-    if (windowSideIsLeft) OutRow(Some(w.fr), w.fs, lin, p, w.ts, w.te)
-    else OutRow(w.fs, Some(w.fr), lin, p, w.ts, w.te)
+    val ms = w.lsLins.indices.map(k => Match(w.lsLins(k), w.lsProbs(k), w.ts, w.te))
+    val window = w.kind match {
+      case "U" => Window.U(w.ts, w.te)
+      case "O" => Window.O(w.ts, w.te, 0)
+      case "N" => Window.N(w.ts, w.te, ms.indices)
+    }
+    val k = kernelRow(window, w.lr, w.pr, ms, windowSideIsLeft)
+    if (windowSideIsLeft) OutRow(Some(w.fr), w.fs, k.lin, k.p, w.ts, w.te)
+    else OutRow(w.fs, Some(w.fr), k.lin, k.p, w.ts, w.te)
   }
 
   /** [[OutRow]]s in the user-facing schema: `from_json`, then [[output]].

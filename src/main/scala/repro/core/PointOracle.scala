@@ -14,9 +14,10 @@ import org.apache.spark.sql.functions._
   * exact for base-tuple ids, also when both inputs hold the same tuple
   * (self-joins): `a∧a` is `a` with `pa`, and `a∧¬(…a…)` is unsatisfiable,
   * its row kept with `p = 0`. Both sides are fed to
-  * `repro.Oracle.assertEquivalent`, which also re-verifies interval merging
-  * implicitly (wrong merging changes the expanded multiset... it changes the
-  * point set; maximality is asserted separately via ChangePreserve).
+  * `repro.Oracle.assertEquivalent`. Comparing points also checks the window
+  * boundaries, since merging windows of different lineage changes the
+  * expanded rows; splitting a window does not, so maximality is asserted
+  * separately via ChangePreserve.
   *
   * θ is supplied as SQL text over two aliases, e.g.
   * `(r, s) => s"$r.file = $s.file"`.
@@ -63,7 +64,7 @@ object PointOracle {
 
   /** The `lin` and `p` columns of an O row `l ∧ r`: `l&r` with `pl·pr`, or
     * `l` with `pl` for one base tuple on both sides (`a∧a` is `a`), as
-    * [[Lineage.renderAnd]] and [[Lineage.probAnd]] value base-tuple ids.
+    * [[Lineage.overlapping]] values base-tuple ids.
     */
   private def and(l: String, r: String): String =
     s"CASE WHEN $l.lin = $r.lin THEN $l.lin ELSE $l.lin || '&' || $r.lin END AS lin, " +

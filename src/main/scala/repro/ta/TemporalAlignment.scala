@@ -37,20 +37,21 @@ import repro.core._
   * its containment join) + an aggregation + 2 distincts, where NJ plans 1
   * join + one partition-local sweep. Both implementations
   * produce identical results (tested), and both compose and value output
-  * lineage with the same functions ([[Lineage.renderAnd]],
-  * [[Lineage.renderAndNotOr]], [[Lineage.probAnd]], [[Lineage.probAndNotOr]]),
-  * so the runtime gap isolates the plan-shape difference.
+  * lineage with the same functions ([[Lineage.overlapping]],
+  * [[Lineage.negating]]), so the runtime gap isolates the plan-shape
+  * difference.
   */
 object TemporalAlignment {
 
   import NegationJoin.factCols
 
-  private val linAnd = udf((a: String, b: String) => Lineage.renderAnd(a, b))
-  private val linAndNotOr = udf((a: String, bs: Seq[String]) => Lineage.renderAndNotOr(a, bs))
-  private val probAnd = udf((a: String, pa: Double, b: String, pb: Double) =>
-    Lineage.probAnd(a, pa, b, pb))
-  private val probAndNotOr = udf((a: String, pa: Double, bs: Seq[String], pbs: Seq[Double]) =>
-    Lineage.probAndNotOr(a, pa, bs, pbs))
+  /** A WO ∪ WU row's `(lin, p)`: `k`'s, or `λk ∧ λm` if an `m` tuple matched. */
+  private val uoLineage = udf((kLin: String, kP: Double, mLin: String, mP: java.lang.Double) =>
+    if (mLin == null) (kLin, kP) else Lineage.overlapping(kLin, kP, mLin, mP))
+
+  /** A WN ∪ WU row's `(lin, p)`: `k`'s, or `λk ∧ ¬∨λm` over the `(lin, p)`s `ms`. */
+  private val nuLineage = udf((kLin: String, kP: Double, ms: Seq[Row]) =>
+    if (ms.isEmpty) (kLin, kP) else Lineage.negating(kLin, kP, ms.map(_.getString(0)), ms.map(_.getDouble(1))))
 
   private def overlapCond: Column =
     col("_l.ts") < col("_r.te") && col("_r.ts") < col("_l.te")
@@ -112,7 +113,6 @@ object TemporalAlignment {
     val mf = factCols(m)
     val ak = align(k, m, theta)
     val am = align(m, k, (o, i) => theta(i, o))
-    val matched = col("_r.lin").isNotNull
     // θ ∧ equal adjusted intervals, and the joined interval must equal the
     // pairwise intersection of the ORIGINAL intervals of both replicas —
     // otherwise replicas generated by third tuples pair up into spurious
@@ -124,11 +124,10 @@ object TemporalAlignment {
     ak.as("_l").join(am.as("_r"), theta("_l", "_r") && pairCond, "left_outer")
       .select(
         struct(kf.map(c => col(s"_l.$c").as(c)): _*).as("_rf"),
-        when(matched, struct(mf.map(c => col(s"_r.$c").as(c)): _*)).as("_sf"),
-        when(matched, linAnd(col("_l.lin"), col("_r.lin"))).otherwise(col("_l.lin")).as("lin"),
-        when(matched, probAnd(col("_l.lin"), col("_l.p"), col("_r.lin"), col("_r.p")))
-          .otherwise(col("_l.p")).as("p"),
+        when(col("_r.lin").isNotNull, struct(mf.map(c => col(s"_r.$c").as(c)): _*)).as("_sf"),
+        uoLineage(col("_l.lin"), col("_l.p"), col("_r.lin"), col("_r.p")).as("_lp"),
         col("_l.ts").as("ts"), col("_l.te").as("te"))
+      .select(col("_rf"), col("_sf"), col("_lp._1").as("lin"), col("_lp._2").as("p"), col("ts"), col("te"))
       .distinct()
   }
 
@@ -149,12 +148,9 @@ object TemporalAlignment {
       )).as("ms"))
     grouped.select(
       struct(kf.map(c => col(s"_l.$c").as(c)): _*).as("_rf"),
-      when(size(col("ms")) === 0, col("_l.lin"))
-        .otherwise(linAndNotOr(col("_l.lin"), expr("transform(ms, x -> x.lin)"))).as("lin"),
-      when(size(col("ms")) === 0, col("_l.p"))
-        .otherwise(probAndNotOr(col("_l.lin"), col("_l.p"),
-          expr("transform(ms, x -> x.lin)"), expr("transform(ms, x -> x.p)"))).as("p"),
+      nuLineage(col("_l.lin"), col("_l.p"), col("ms")).as("_lp"),
       col("_l.ts").as("ts"), col("_l.te").as("te"))
+      .select(col("_rf"), col("_lp._1").as("lin"), col("_lp._2").as("p"), col("ts"), col("te"))
   }
 
   /** WN ∪ WU rows of a swapped (s;r) subtree: their facts are the right side's.

@@ -15,8 +15,11 @@ class GroupWindowsSpec extends AnyFunSuite {
   private case class W(kind: String, ts: Long, te: Long, lsLins: Seq[String], lsProbs: Seq[Double])
 
   private def windows(ts: Long, te: Long, ms: Seq[Match], mode: NegationJoin.Mode): Vector[W] =
-    GroupWindows.windows("r1", 0.5, ts, te, ms.toIndexedSeq, mode).map(w =>
-      W(w.kind, w.ts, w.te, w.matches.map(ms(_).ls), w.matches.map(ms(_).ps)))
+    GroupWindows.windows("r1", 0.5, ts, te, ms.toIndexedSeq, mode).map {
+      case Window.U(ts, te) => W("U", ts, te, Nil, Nil)
+      case Window.O(ts, te, k) => W("O", ts, te, Seq(ms(k).ls), Seq(ms(k).ps))
+      case Window.N(ts, te, ks) => W("N", ts, te, ks.map(ms(_).ls), ks.map(ms(_).ps))
+    }
 
   private val modes = {
     import NegationJoin.Mode._

@@ -173,13 +173,13 @@ class LineageSpec extends AnyFunSuite {
     assert(Lineage.or(Seq(p("a"), p("a"), p("b"))).render == "a|b")
   }
 
-  // ------------------------------------------ string composition functions
+  // ---------------------------------------------- window lineage functions
 
   private def astAnd(a: String, b: String) = Lineage.andL(p(a), p(b)).render
   private def astAndNotOr(a: String, bs: Seq[String]) =
     Lineage.andNot(p(a), Lineage.or(bs.map(p))).render
 
-  test("renderAnd and renderAndNotOr equal the formula rendering on base-tuple ids") {
+  test("overlapping and negating equal the formula rendering on base-tuple ids") {
     val rnd = new Random(11)
     // letters, digits and every other atom character
     val chars = "aZé09_.:#-"
@@ -190,50 +190,60 @@ class LineageSpec extends AnyFunSuite {
       def pick() = pool(rnd.nextInt(pool.size))
       val (a, b) = (pick(), pick())
       val bs = Vector.fill(1 + rnd.nextInt(5))(pick())
-      assert(pool.forall(Lineage.isAtom), s"case $i")
-      assert(Lineage.renderAnd(a, b) == astAnd(a, b), s"$a ∧ $b (case $i)")
-      assert(Lineage.renderAndNotOr(a, bs) == astAndNotOr(a, bs), s"$a ∧ ¬∨$bs (case $i)")
-      // the valuation is exact: it equals Lineage.prob of the composed lineage
       val probs = pool.map(_ -> rnd.nextDouble()).toMap
-      assert(math.abs(Lineage.probAnd(a, probs(a), b, probs(b)) -
-        p(astAnd(a, b)).prob(probs)) < 1e-12, s"P($a ∧ $b) (case $i)")
-      assert(math.abs(Lineage.probAndNotOr(a, probs(a), bs, bs.map(probs)) -
-        p(astAndNotOr(a, bs)).prob(probs)) < 1e-12, s"P($a ∧ ¬∨$bs) (case $i)")
+      assert(pool.forall(Lineage.isAtom), s"case $i")
+      // the valuation is exact: it equals Lineage.prob of the composed lineage
+      val (oLin, oP) = Lineage.overlapping(a, probs(a), b, probs(b))
+      assert(oLin == astAnd(a, b), s"$a ∧ $b (case $i)")
+      assert(math.abs(oP - p(oLin).prob(probs)) < 1e-12, s"P($a ∧ $b) (case $i)")
+      val (nLin, nP) = Lineage.negating(a, probs(a), bs, bs.map(probs))
+      assert(nLin == astAndNotOr(a, bs), s"$a ∧ ¬∨$bs (case $i)")
+      assert(math.abs(nP - p(nLin).prob(probs)) < 1e-12, s"P($a ∧ ¬∨$bs) (case $i)")
     }
-    assert(Lineage.renderAnd("r-1.a:b#2", "r-1.a:b#2") == "r-1.a:b#2")
-    assert(Lineage.renderAnd("r-1.a:b#2", "s_3") == "r-1.a:b#2&s_3")
-    assert(Lineage.renderAndNotOr("a", Seq("b", "b")) == "a&!b")
-    assert(Lineage.renderAndNotOr("a", Seq("b", "a", "b", "c")) == "a&!(b|a|c)")
+    assert(Lineage.overlapping("r-1.a:b#2", 0.5, "r-1.a:b#2", 0.5) == ("r-1.a:b#2", 0.5))
+    assert(Lineage.overlapping("r-1.a:b#2", 0.5, "s_3", 0.25) == ("r-1.a:b#2&s_3", 0.125))
+    assert(Lineage.negating("a", 0.5, Seq("b", "b"), Seq(0.5, 0.5)) == ("a&!b", 0.25))
+    assert(Lineage.negating("a", 0.5, Seq("b", "a", "b", "c"), Seq(0.5, 0.5, 0.5, 0.5)) == ("a&!(b|a|c)", 0.0))
   }
 
-  test("renderAnd and renderAndNotOr equal the formula rendering on derived lineage") {
+  test("overlapping and negating equal the formula rendering on derived lineage") {
     val derived = Seq("a&b", "a|b", "!a", "(a)", " a ", "a&(b|c)")
     val all = derived ++ Seq("a", "b", "c")
     derived.foreach(d => assert(!Lineage.isAtom(d), d))
-    for (x <- all; y <- all) {
-      assert(Lineage.renderAnd(x, y) == astAnd(x, y), s"'$x' ∧ '$y'")
-      // derived operands are valued by the product only when they share no base tuple
-      if (Lineage.isAtom(x) && Lineage.isAtom(y) || (p(x).vars & p(y).vars).isEmpty)
-        assert(Lineage.probAnd(x, 0.5, y, 0.25) == (if (x == y) 0.5 else 0.125), s"P('$x' ∧ '$y')")
-      else {
-        val e = intercept[IllegalArgumentException](Lineage.probAnd(x, 0.5, y, 0.25))
-        val shared = (p(x).vars & p(y).vars).toSeq.sorted.mkString(", ")
+    val probs = Map("a" -> 0.5, "b" -> 0.25, "c" -> 0.75)
+    def pr(x: String) = p(x).prob(probs)
+    // `compose` renders `want` and values it as Lineage.prob does, unless
+    // derived operands share a base tuple: then it is rejected, naming it
+    def check(operands: Seq[String], want: String)(compose: => (String, Double)): Unit = {
+      val vars = operands.flatMap(p(_).vars)
+      if (operands.forall(Lineage.isAtom) || vars.distinct == vars) {
+        val (lin, prob) = compose
+        assert(lin == want, operands)
+        assert(math.abs(prob - p(want).prob(probs)) < 1e-12, s"P($want)")
+      } else {
+        val e = intercept[IllegalArgumentException](compose)
+        val shared = vars.diff(vars.distinct).distinct.sorted.mkString(", ")
         assert(e.getMessage.contains(s"share base tuples $shared"), e.getMessage)
-        intercept[IllegalArgumentException](Lineage.probAndNotOr(x, 0.5, Seq(y), Seq(0.25)))
       }
-      assert(Lineage.renderAndNotOr(x, Seq(y)) == astAndNotOr(x, Seq(y)), s"'$x' ∧ ¬'$y'")
-      assert(Lineage.renderAndNotOr(x, Seq(y, "c", y)) == astAndNotOr(x, Seq(y, "c", y)),
-        s"'$x' ∧ ¬('$y' ∨ c ∨ '$y')")
+    }
+    for (x <- all; y <- all) {
+      check(Seq(x, y), astAnd(x, y))(Lineage.overlapping(x, pr(x), y, pr(y)))
+      check(Seq(x, y), astAndNotOr(x, Seq(y)))(Lineage.negating(x, pr(x), Seq(y), Seq(pr(y))))
+      // a repeated disjunct counts once
+      check(x +: Seq(y, "c").distinct, astAndNotOr(x, Seq(y, "c", y)))(
+        Lineage.negating(x, pr(x), Seq(y, "c", y), Seq(y, "c", y).map(pr)))
     }
   }
 
-  test("renderAnd and renderAndNotOr reject malformed lineage as parse does") {
+  test("overlapping and negating reject malformed lineage as parse does") {
     Seq("", "a&", "a b", "a)").foreach { bad =>
       assert(!Lineage.isAtom(bad))
-      assertThrows[IllegalArgumentException](Lineage.renderAnd(bad, "b"))
-      assertThrows[IllegalArgumentException](Lineage.renderAnd("a", bad))
-      assertThrows[IllegalArgumentException](Lineage.renderAndNotOr(bad, Seq("b")))
-      assertThrows[IllegalArgumentException](Lineage.renderAndNotOr("a", Seq("b", bad)))
+      assertThrows[IllegalArgumentException](Lineage.overlapping(bad, 0.5, "b", 0.5))
+      assertThrows[IllegalArgumentException](Lineage.overlapping("a", 0.5, bad, 0.5))
+      assertThrows[IllegalArgumentException](Lineage.negating(bad, 0.5, Seq("b"), Seq(0.5)))
+      assertThrows[IllegalArgumentException](Lineage.negating("a", 0.5, Seq("b", bad), Seq(0.5, 0.5)))
     }
+    // a negating window has at least one match
+    assertThrows[IllegalArgumentException](Lineage.negating("a", 0.5, Nil, Nil))
   }
 }

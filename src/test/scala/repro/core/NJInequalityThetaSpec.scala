@@ -15,25 +15,6 @@ class NJInequalityThetaSpec extends SparkSpec {
     (l, r) => col(s"$l.k") =!= col(s"$r.k")
   private val refTheta: SnapshotRef.Theta = (f1, f2) => f1("k") != f2("k")
 
-  private def canonNj(df: org.apache.spark.sql.DataFrame, anti: Boolean) =
-    df.collect().map { r =>
-      if (anti)
-        (r.getString(0), "∅", Lineage.canonicalString(r.getString(1)),
-          math.rint(r.getDouble(2) * 1e9) / 1e9, r.getLong(3), r.getLong(4))
-      else
-        (Option(r.getString(0)).getOrElse("∅"), Option(r.getString(1)).getOrElse("∅"),
-          Lineage.canonicalString(r.getString(2)),
-          math.rint(r.getDouble(3) * 1e9) / 1e9, r.getLong(4), r.getLong(5))
-    }.toSet
-
-  private def canonRef(out: Seq[RefOut], anti: Boolean) =
-    out.map { o =>
-      (o.leftFact.map(_("k")).getOrElse("∅"),
-        if (anti) "∅" else o.rightFact.map(_("k")).getOrElse("∅"),
-        Lineage.canonicalString(o.lin),
-        math.rint(o.p * 1e9) / 1e9, o.ts, o.te)
-    }.toSet
-
   (1 to 8).foreach { seed =>
     test(s"NJ ≡ SnapshotRef under inequality θ, anti + left outer (seed $seed)") {
       val rTs = randomRelation(seed + 300, Seq("A", "B", "C"), 24, 2, "x")

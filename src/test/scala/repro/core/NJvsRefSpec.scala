@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
 import repro.{SparkSpec, TestUtil}
 import repro.TestUtil._
 
@@ -13,25 +12,6 @@ class NJvsRefSpec extends SparkSpec {
 
   private val theta = NegationJoin.thetaEq("k")
   private val refTheta: SnapshotRef.Theta = (f1, f2) => f1("k") == f2("k")
-
-  private def canonNj(df: DataFrame, anti: Boolean): Set[(String, String, String, Double, Long, Long)] =
-    df.collect().map { r =>
-      if (anti)
-        (r.getString(0), "∅", Lineage.canonicalString(r.getString(1)),
-          math.rint(r.getDouble(2) * 1e9) / 1e9, r.getLong(3), r.getLong(4))
-      else
-        (Option(r.getString(0)).getOrElse("∅"), Option(r.getString(1)).getOrElse("∅"),
-          Lineage.canonicalString(r.getString(2)),
-          math.rint(r.getDouble(3) * 1e9) / 1e9, r.getLong(4), r.getLong(5))
-    }.toSet
-
-  private def canonRef(out: Seq[RefOut], anti: Boolean): Set[(String, String, String, Double, Long, Long)] =
-    out.map { o =>
-      (o.leftFact.map(_("k")).getOrElse("∅"),
-        if (anti) "∅" else o.rightFact.map(_("k")).getOrElse("∅"),
-        Lineage.canonicalString(o.lin),
-        math.rint(o.p * 1e9) / 1e9, o.ts, o.te)
-    }.toSet
 
   /** NJ ▷ ⟕ ⟖ ⟗ against SnapshotRef on one pair of relations. */
   private def checkAll(rTs: Seq[KTup], sTs: Seq[KTup], label: String): Unit = {

@@ -246,11 +246,22 @@ class NegationJoinSpec extends SparkSpec {
     import spark.implicits._
     val r = Seq(KTup("A", "x1|x2", 0.5, 0, 10)).toDF()
     val s = Seq(KTup("A", "y1&!y2", 0.4, 3, 6)).toDF()
-    val out = NegationJoin(r, s, NegationJoin.thetaEq("k"), TPJoinOp.LeftOuter)
-    val got = out.select("lin", "ts", "te").collect()
-      .map(x => (x.getString(0), x.getLong(1), x.getLong(2))).toSet
-    assert(got == Set(("x1|x2", 0L, 3L), ("(x1|x2)&y1&!y2", 3L, 6L),
-      ("(x1|x2)&!(y1&!y2)", 3L, 6L), ("x1|x2", 6L, 10L)))
+    val kTheta = NegationJoin.thetaEq("k")
+    val u = Set(("x1|x2", 0.5, 0L, 3L), ("x1|x2", 0.5, 6L, 10L))
+    val o = ("(x1|x2)&y1&!y2", 0.2, 3L, 6L)
+    val n = ("(x1|x2)&!(y1&!y2)", 0.3, 3L, 6L)
+    // s lies inside r: the swapped pass has one N window and no U window
+    val ns = ("y1&!y2&!(x1|x2)", 0.2, 3L, 6L)
+    val ta = repro.ta.TemporalAlignment
+    val cases = Seq(
+      (TPJoinOp.Anti, ta.anti _, u + n), (TPJoinOp.LeftOuter, ta.leftOuter _, u + o + n),
+      (TPJoinOp.RightOuter, ta.rightOuter _, Set(o, ns)), (TPJoinOp.FullOuter, ta.fullOuter _, u + o + n + ns))
+    def got(df: DataFrame) = df.select("lin", "p", "ts", "te").collect()
+      .map(x => (x.getString(0), math.rint(x.getDouble(1) * 1e9) / 1e9, x.getLong(2), x.getLong(3))).toSet
+    for ((op, taOp, want) <- cases) {
+      assert(got(NegationJoin(r, s, kTheta, op)) == want, s"NJ $op")
+      assert(got(taOp(r, s, kTheta)) == want, s"TA $op")
+    }
   }
 
   test("a self-join is exact: a∧a has p(a) and a∧¬a has p = 0, in NJ, TA and SnapshotRef") {
