@@ -83,9 +83,13 @@ object NegationJoin {
   def factCols(df: DataFrame): Seq[String] =
     df.columns.toSeq.filterNot(MetaCols.contains)
 
-  /** Equality θ on identically-named fact columns of both inputs. */
-  def thetaEq(cols: String*): (String, String) => Column =
+  /** Equality θ on identically-named fact columns of both inputs; at least
+    * one column, or it throws an `IllegalArgumentException` here.
+    */
+  def thetaEq(cols: String*): (String, String) => Column = {
+    require(cols.nonEmpty, "θ needs at least one column: thetaEq() was called with none")
     (l, r) => cols.map(c => col(s"$l.$c") === col(s"$r.$c")).reduce(_ && _)
+  }
 
   /** The window sets one sweep pass builds, as the kinds it emits. */
   sealed abstract class Mode(val u: Boolean, val o: Boolean, val n: Boolean)

@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.execution.SparkPlan
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeLike
 import org.apache.spark.sql.execution.joins.BaseJoinExec
-import repro.core.{Lineage, RefOut, TPTuple}
+import repro.core.{Lineage, TPTuple}
 import scala.util.Random
 
 /** Shared fixtures: the paper's running example (Fig. 1a), random
@@ -92,30 +92,6 @@ object TestUtil {
         case x               => x.toString
       }
     }
-
-  /** A one-fact (`k`) relation's NJ output row as (left k, right k, lineage,
-    * p, ts, te): lineage made order-insensitive, p rounded to 1e-9 and an
-    * absent fact `∅`. Anti joins output no right fact.
-    */
-  def canonNj(df: DataFrame, anti: Boolean): Set[(String, String, String, Double, Long, Long)] =
-    df.collect().map { r =>
-      if (anti)
-        (r.getString(0), "∅", Lineage.canonicalString(r.getString(1)),
-          math.rint(r.getDouble(2) * 1e9) / 1e9, r.getLong(3), r.getLong(4))
-      else
-        (Option(r.getString(0)).getOrElse("∅"), Option(r.getString(1)).getOrElse("∅"),
-          Lineage.canonicalString(r.getString(2)),
-          math.rint(r.getDouble(3) * 1e9) / 1e9, r.getLong(4), r.getLong(5))
-    }.toSet
-
-  /** `SnapshotRef` output in [[canonNj]]'s form. */
-  def canonRef(out: Seq[RefOut], anti: Boolean): Set[(String, String, String, Double, Long, Long)] =
-    out.map { o =>
-      (o.leftFact.map(_("k")).getOrElse("∅"),
-        if (anti) "∅" else o.rightFact.map(_("k")).getOrElse("∅"),
-        Lineage.canonicalString(o.lin),
-        math.rint(o.p * 1e9) / 1e9, o.ts, o.te)
-    }.toSet
 
   def canonSet(df: DataFrame): Set[Seq[String]] = {
     val cols = df.columns.sorted

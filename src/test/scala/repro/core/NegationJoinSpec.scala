@@ -242,6 +242,26 @@ class NegationJoinSpec extends SparkSpec {
     assert(out.head.getString(1) == "x1&!y2")
   }
 
+  test("meteo-style two-column θ: equal metric, different station") {
+    import spark.implicits._
+    val r = Seq(
+      (1L, 0L, "x1", 0.5, 0L, 10L),
+      (2L, 1L, "x2", 0.5, 0L, 10L)).toDF("station", "metric", "lin", "p", "ts", "te")
+    val s = Seq(
+      (1L, 0L, "y1", 0.5, 2L, 5L),  // same station → no match for x1
+      (3L, 0L, "y2", 0.5, 2L, 5L),  // matches x1
+      (4L, 1L, "y3", 0.5, 4L, 8L)   // matches x2
+    ).toDF("station", "metric", "lin", "p", "ts", "te")
+    val theta2: (String, String) => Column = (l, rr) =>
+      col(s"$l.metric") === col(s"$rr.metric") && col(s"$l.station") =!= col(s"$rr.station")
+    val out = NegationJoin(r, s, theta2, TPJoinOp.Anti)
+      .select("lin", "ts", "te").collect()
+      .map(x => (x.getString(0), x.getLong(1), x.getLong(2))).toSet
+    assert(out == Set(
+      ("x1", 0L, 2L), ("x1&!y2", 2L, 5L), ("x1", 5L, 10L),
+      ("x2", 0L, 4L), ("x2&!y3", 4L, 8L), ("x2", 8L, 10L)))
+  }
+
   test("derived input lineage is composed through the formula tree") {
     import spark.implicits._
     val r = Seq(KTup("A", "x1|x2", 0.5, 0, 10)).toDF()
@@ -264,32 +284,23 @@ class NegationJoinSpec extends SparkSpec {
     }
   }
 
-  test("a self-join is exact: a∧a has p(a) and a∧¬a has p = 0, in NJ, TA and SnapshotRef") {
-    val refTheta: SnapshotRef.Theta = (f1, f2) => f1("loc") == f2("loc")
+  test("a self-join is exact: a∧a has p(a) and a∧¬a has p = 0") {
     type Row6 = (String, String, String, Double, Long, Long)
     def nj(df: DataFrame): Set[Row6] = df.select("name", "s_name", "lin", "p", "ts", "te")
       .collect().map(r => (Option(r.getString(0)).getOrElse("-"), Option(r.getString(1)).getOrElse("-"),
         Lineage.canonicalString(r.getString(2)), math.rint(r.getDouble(3) * 1e9) / 1e9,
         r.getLong(4), r.getLong(5))).toSet
-    def ref(out: Seq[RefOut]): Set[Row6] = out.map(o =>
-      (o.leftFact.map(_("name")).getOrElse("-"), o.rightFact.map(_("name")).getOrElse("-"),
-        Lineage.canonicalString(o.lin), math.rint(o.p * 1e9) / 1e9, o.ts, o.te)).toSet
     val o = Set[Row6](("Ann", "Ann", "a1", 0.7, 2, 8), ("Jim", "Jim", "a2", 0.8, 7, 10))
     val nl = Set[Row6](("Ann", "-", Lineage.canonicalString("a1&!a1"), 0.0, 2, 8),
       ("Jim", "-", Lineage.canonicalString("a2&!a2"), 0.0, 7, 10))
     val nr = nl.map { case (l, _, lin, p, ts, te) => ("-", l, lin, p, ts, te) }
-    val ta = repro.ta.TemporalAlignment
     val cases = Seq(
-      (TPJoinOp.Anti, nl, ta.anti _, SnapshotRef.anti _),
-      (TPJoinOp.LeftOuter, o ++ nl, ta.leftOuter _, SnapshotRef.leftOuter _),
-      (TPJoinOp.RightOuter, o ++ nr, ta.rightOuter _, SnapshotRef.rightOuter _),
-      (TPJoinOp.FullOuter, o ++ nl ++ nr, ta.fullOuter _, SnapshotRef.fullOuter _))
-    for ((op, want, taOp, refOp) <- cases) {
+      TPJoinOp.Anti -> nl, TPJoinOp.LeftOuter -> (o ++ nl),
+      TPJoinOp.RightOuter -> (o ++ nr), TPJoinOp.FullOuter -> (o ++ nl ++ nr))
+    for ((op, want) <- cases) {
+      val out = NegationJoin(a, a, theta, op)
       // ▷ outputs no right facts: read the right name as absent
-      def norm(df: DataFrame) = if (op == TPJoinOp.Anti) df.withColumn("s_name", lit(null: String)) else df
-      assert(nj(norm(NegationJoin(a, a, theta, op))) == want, s"NJ $op")
-      assert(nj(norm(taOp(a, a, theta))) == want, s"TA $op")
-      assert(ref(refOp(aRef, aRef, refTheta)) == want, s"SnapshotRef $op")
+      assert(nj(if (op == TPJoinOp.Anti) out.withColumn("s_name", lit(null: String)) else out) == want, s"$op")
     }
   }
 
@@ -370,6 +381,8 @@ class NegationJoinSpec extends SparkSpec {
     // ▷ outputs no right fact columns, so nothing collides
     assert(NegationJoin(r, s, NegationJoin.thetaEq("k"), TPJoinOp.Anti).columns.toSeq ==
       Seq("k", "s_k", "lin", "p", "ts", "te"))
+    // a θ over no column is rejected at the call, before any query is built
+    rejects("θ needs at least one column")(NegationJoin.thetaEq())
   }
 
   test("two right facts landing on one output name are rejected before the query runs") {
