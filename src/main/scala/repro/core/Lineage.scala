@@ -18,9 +18,8 @@ package repro.core
   * the paper's examples and by the DuckDB oracle queries.
   *
   * Rendering preserves operand order (no sorting), so equal construction
-  * order yields equal strings; [[Lineage.canonicalString]] sorts ∧/∨
-  * operands, so that lineages built in different operand orders compare
-  * equal.
+  * order yields equal strings; logical equivalence is decided by
+  * [[Lineage.equiv]] via truth-table enumeration.
   *
   * The joins compose an output lineage and its probability with one call
   * per window: [[Lineage.overlapping]] for an O window, [[Lineage.negating]]
@@ -219,10 +218,24 @@ object Lineage {
         }
     }
 
+  /** Logical equivalence by truth-table enumeration over the union of vars.
+    * Guarded at 20 variables (2^20 assignments) — ample for window formulas.
+    */
+  def equiv(a: Lineage, b: Lineage): Boolean = {
+    val vs = (a.vars ++ b.vars).toVector
+    require(vs.size <= 20, s"equiv(): too many variables (${vs.size})")
+    val n = vs.size
+    (0 until (1 << n)).forall { mask =>
+      val assign = vs.zipWithIndex.map { case (v, i) => v -> ((mask & (1 << i)) != 0) }.toMap
+      a.eval(assign) == b.eval(assign)
+    }
+  }
+
   /** Order-insensitive canonical string: sort ∧/∨ operands recursively.
     * Used by tests to compare lineages produced with different operand
     * orders (e.g. `a1&b3` vs `b3&a1`). NOT a normal form — equivalent but
-    * structurally different formulas may still differ.
+    * structurally different formulas may still differ; use [[equiv]] for
+    * full logical equivalence.
     */
   def canonical(l: Lineage): Lineage = l match {
     case v @ LVar(_) => v

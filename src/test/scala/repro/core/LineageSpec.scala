@@ -3,8 +3,8 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
-/** Unit tests for the lineage engine: grammar, canonical rendering and
-  * exact probability valuation.
+/** Unit tests for the lineage engine: grammar, canonical rendering,
+  * logical equivalence and exact probability valuation.
   */
 class LineageSpec extends AnyFunSuite {
 
@@ -60,6 +60,19 @@ class LineageSpec extends AnyFunSuite {
       assert(p(r).render == r, s"sample $s")
     }
   }
+
+  // -------------------------------------------------------- equivalence
+
+  test("equiv: commutativity of and") { assert(Lineage.equiv(p("a&b"), p("b&a"))) }
+  test("equiv: commutativity of or")  { assert(Lineage.equiv(p("a|b"), p("b|a"))) }
+  test("equiv: De Morgan and")  { assert(Lineage.equiv(p("!(a&b)"), p("!a|!b"))) }
+  test("equiv: De Morgan or")   { assert(Lineage.equiv(p("!(a|b)"), p("!a&!b"))) }
+  test("equiv: absorption")     { assert(Lineage.equiv(p("a|(a&b)"), p("a"))) }
+  test("equiv: distribution")   { assert(Lineage.equiv(p("a&(b|c)"), p("a&b|a&c"))) }
+  test("equiv: double negation") { assert(Lineage.equiv(p("!(!a)"), p("a"))) }
+  test("not equiv: a vs b")     { assert(!Lineage.equiv(p("a"), p("b"))) }
+  test("not equiv: a&b vs a|b") { assert(!Lineage.equiv(p("a&b"), p("a|b"))) }
+  test("not equiv: a&!b vs a")  { assert(!Lineage.equiv(p("a&!b"), p("a"))) }
 
   // ------------------------------------------------------------- vars
 
@@ -124,6 +137,26 @@ class LineageSpec extends AnyFunSuite {
     (1 to 60).foreach { i =>
       val f = randomFormula(3)
       assert(math.abs(f.prob(probs) - brute(f)) < 1e-9, s"formula ${f.render} (case $i)")
+    }
+  }
+  test("equiv matches eval on all assignments for random formula pairs") {
+    val rnd = new Random(7)
+    val vars = Vector("a", "b", "c")
+    def rf(depth: Int): Lineage =
+      if (depth == 0 || rnd.nextInt(3) == 0) LVar(vars(rnd.nextInt(vars.size)))
+      else rnd.nextInt(3) match {
+        case 0 => Lineage.and(Seq(rf(depth - 1), rf(depth - 1)))
+        case 1 => Lineage.or(Seq(rf(depth - 1), rf(depth - 1)))
+        case 2 => Lineage.not(rf(depth - 1))
+      }
+    (1 to 40).foreach { _ =>
+      val (f, g) = (rf(2), rf(2))
+      val vs = (f.vars ++ g.vars).toVector
+      val allEqual = (0 until (1 << vs.size)).forall { mask =>
+        val assign = vs.zipWithIndex.map { case (v, i) => v -> ((mask & (1 << i)) != 0) }.toMap
+        f.eval(assign) == g.eval(assign)
+      }
+      assert(Lineage.equiv(f, g) == allEqual, s"${f.render} vs ${g.render}")
     }
   }
 

@@ -284,23 +284,32 @@ class NegationJoinSpec extends SparkSpec {
     }
   }
 
-  test("a self-join is exact: a∧a has p(a) and a∧¬a has p = 0") {
+  test("a self-join is exact: a∧a has p(a) and a∧¬a has p = 0, in NJ, TA and SnapshotRef") {
+    val refTheta: SnapshotRef.Theta = (f1, f2) => f1("loc") == f2("loc")
     type Row6 = (String, String, String, Double, Long, Long)
     def nj(df: DataFrame): Set[Row6] = df.select("name", "s_name", "lin", "p", "ts", "te")
       .collect().map(r => (Option(r.getString(0)).getOrElse("-"), Option(r.getString(1)).getOrElse("-"),
         Lineage.canonicalString(r.getString(2)), math.rint(r.getDouble(3) * 1e9) / 1e9,
         r.getLong(4), r.getLong(5))).toSet
+    def ref(out: Seq[RefOut]): Set[Row6] = out.map(o =>
+      (o.leftFact.map(_("name")).getOrElse("-"), o.rightFact.map(_("name")).getOrElse("-"),
+        Lineage.canonicalString(o.lin), math.rint(o.p * 1e9) / 1e9, o.ts, o.te)).toSet
     val o = Set[Row6](("Ann", "Ann", "a1", 0.7, 2, 8), ("Jim", "Jim", "a2", 0.8, 7, 10))
     val nl = Set[Row6](("Ann", "-", Lineage.canonicalString("a1&!a1"), 0.0, 2, 8),
       ("Jim", "-", Lineage.canonicalString("a2&!a2"), 0.0, 7, 10))
     val nr = nl.map { case (l, _, lin, p, ts, te) => ("-", l, lin, p, ts, te) }
+    val ta = repro.ta.TemporalAlignment
     val cases = Seq(
-      TPJoinOp.Anti -> nl, TPJoinOp.LeftOuter -> (o ++ nl),
-      TPJoinOp.RightOuter -> (o ++ nr), TPJoinOp.FullOuter -> (o ++ nl ++ nr))
-    for ((op, want) <- cases) {
-      val out = NegationJoin(a, a, theta, op)
+      (TPJoinOp.Anti, nl, ta.anti _, SnapshotRef.anti _),
+      (TPJoinOp.LeftOuter, o ++ nl, ta.leftOuter _, SnapshotRef.leftOuter _),
+      (TPJoinOp.RightOuter, o ++ nr, ta.rightOuter _, SnapshotRef.rightOuter _),
+      (TPJoinOp.FullOuter, o ++ nl ++ nr, ta.fullOuter _, SnapshotRef.fullOuter _))
+    for ((op, want, taOp, refOp) <- cases) {
       // ▷ outputs no right facts: read the right name as absent
-      assert(nj(if (op == TPJoinOp.Anti) out.withColumn("s_name", lit(null: String)) else out) == want, s"$op")
+      def norm(df: DataFrame) = if (op == TPJoinOp.Anti) df.withColumn("s_name", lit(null: String)) else df
+      assert(nj(norm(NegationJoin(a, a, theta, op))) == want, s"NJ $op")
+      assert(nj(norm(taOp(a, a, theta))) == want, s"TA $op")
+      assert(ref(refOp(aRef, aRef, refTheta)) == want, s"SnapshotRef $op")
     }
   }
 

@@ -6,9 +6,8 @@ import repro.{SparkSpec, TestUtil}
 import repro.TestUtil._
 import repro.core._
 
-/** Unit tests of TA's Φ and N, its plan shape and its typed facts. That TA
-  * produces exactly NJ's results (same semantics, a different — redundant —
-  * plan shape) is checked on the shared corpus in [[repro.core.EquivalenceSpec]].
+/** The TA baseline must produce exactly the NJ results (same semantics,
+  * different — redundant — plan shape), plus unit tests of Φ and N.
   */
 class TemporalAlignmentSpec extends SparkSpec {
 
@@ -109,7 +108,42 @@ class TemporalAlignmentSpec extends SparkSpec {
       Seq((2, 3), (5, 9), (5, 9), (7, 10)))
   }
 
-  // ------------------------------------------------------- typed facts
+  // ------------------------------------------------- equivalence with NJ
+
+  test("TA anti ≡ NJ anti on the paper example") {
+    assert(canonSet(TemporalAlignment.anti(a, b, theta)) ==
+      canonSet(NegationJoin(a, b, theta, TPJoinOp.Anti)))
+  }
+
+  test("TA left outer ≡ NJ left outer on the paper example") {
+    assert(canonSet(TemporalAlignment.leftOuter(a, b, theta)) ==
+      canonSet(NegationJoin(a, b, theta, TPJoinOp.LeftOuter)))
+  }
+
+  test("TA right outer ≡ NJ right outer on the paper example") {
+    assert(canonSet(TemporalAlignment.rightOuter(a, b, theta)) ==
+      canonSet(NegationJoin(a, b, theta, TPJoinOp.RightOuter)))
+  }
+
+  test("TA full outer ≡ NJ full outer on the paper example") {
+    assert(canonSet(TemporalAlignment.fullOuter(a, b, theta)) ==
+      canonSet(NegationJoin(a, b, theta, TPJoinOp.FullOuter)))
+  }
+
+  (1 to 8).foreach { seed =>
+    test(s"TA ≡ NJ on all four ops over random relations (seed $seed)") {
+      val r = kDf(spark, randomRelation(seed, Seq("A", "B", "C"), 30, 3, "x"))
+      val s = kDf(spark, randomRelation(seed + 2000, Seq("A", "B", "C"), 30, 3, "y"))
+      assert(canonSet(TemporalAlignment.anti(r, s, kTheta)) ==
+        canonSet(NegationJoin(r, s, kTheta, TPJoinOp.Anti)), s"anti seed=$seed")
+      assert(canonSet(TemporalAlignment.leftOuter(r, s, kTheta)) ==
+        canonSet(NegationJoin(r, s, kTheta, TPJoinOp.LeftOuter)), s"left seed=$seed")
+      assert(canonSet(TemporalAlignment.rightOuter(r, s, kTheta)) ==
+        canonSet(NegationJoin(r, s, kTheta, TPJoinOp.RightOuter)), s"right seed=$seed")
+      assert(canonSet(TemporalAlignment.fullOuter(r, s, kTheta)) ==
+        canonSet(NegationJoin(r, s, kTheta, TPJoinOp.FullOuter)), s"full seed=$seed")
+    }
+  }
 
   test("TA ≡ NJ on all four ops over microsecond timestamp, date and decimal facts") {
     // typed facts on both sides, of types a JSON round trip would change:
